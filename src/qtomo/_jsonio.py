@@ -1,4 +1,4 @@
-"""JSON emission with fixed 17-significant-digit floats.
+"""JSON emission with fixed 17-significant-digit floats, and JSONL reading.
 
 Every float written by the package round-trips bit-faithfully through its
 text form, so record and result files are stable artifacts.
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps"]
+__all__ = ["format_float", "dumps", "read_jsonl"]
 
 
 def format_float(x: float) -> str:
@@ -43,3 +43,24 @@ def dumps(obj) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def read_jsonl(path, parse) -> list:
+    """``parse`` applied to each nonblank line of a JSONL file.
+
+    A line that is not JSON, lacks a field or holds an invalid value raises
+    ValueError prefixed with ``path:line``.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out

@@ -3,7 +3,8 @@ oracle validation gate, all driven by a single JSON config document.
 
 Flags only override seed, count and paths, so an archived config file
 reproduces a run exactly.  Exit codes: 0 success, 1 validation failure,
-2 config or file error (with a machine-readable object on stderr).
+2 config, file or quadrature error (with a machine-readable object on
+stderr).
 """
 
 from __future__ import annotations
@@ -336,6 +337,8 @@ def main(argv=None) -> int:
         return _fail("config", str(exc))
     except FileNotFoundError as exc:
         return _fail("file", f"{exc.strerror}: {exc.filename}")
+    except numerics.QuadratureError as exc:
+        return _fail("quadrature", str(exc))
     except (KeyError, TypeError, ValueError) as exc:
         return _fail("config", f"{type(exc).__name__}: {exc}")
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from ._jsonio import dumps, format_float
+from ._jsonio import dumps, format_float, read_jsonl
 from ._rng import record_uniforms
 
 __all__ = [
@@ -112,8 +112,11 @@ class HomodyneRecord:
         phi = float(self.phi)
         if not 0.0 <= phi < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2 pi), got {phi!r}")
+        y = float(self.y)
+        if not math.isfinite(y):
+            raise ValueError(f"y must be finite, got {y!r}")
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "y", y)
 
 
 def vacuum_state(n_max: int) -> FockDensityMatrix:
@@ -194,133 +197,96 @@ class _CdfSampler:
     """Per-state tables for inverse-CDF sampling of omega(phi, .).
 
     The density's phi dependence enters only through e^{i k phi} harmonics,
-    so Simpson interval masses (and the Simpson-trapezoid error indicators)
-    are precomputed per harmonic once; each record then needs one small
-    matrix product.  Rows are pure per record, which keeps streams identical
-    under any sharding.
+    so the cumulative Simpson masses are tabulated per harmonic once: the CDF
+    at edge i is B_i + sum_k cos(k phi) C_ki + sin(k phi) S_ki.  One grid
+    level serves every record of the state.  It is the coarsest level at
+    which the Simpson-trapezoid gap, bounded over all phi, stays below
+    CDF_TOL; each record then bisects its CDF in O(k log M).  Rows are pure
+    per record, which keeps streams identical under any sharding.
     """
 
-    def __init__(self, rho: FockDensityMatrix, n_intervals: int = _BASE_INTERVALS):
-        self.rho = rho
+    def __init__(self, rho: FockDensityMatrix):
+        n_intervals = _BASE_INTERVALS
+        bound = self._build(rho, n_intervals)
+        for _ in range(_MAX_GRID_DOUBLINGS):
+            if bound <= CDF_TOL:
+                break
+            # the Simpson-trapezoid gap falls by ~4x per grid doubling, so
+            # the next level is predicted from the measured bound
+            n_intervals *= 2 ** max(1, math.ceil(math.log(bound / CDF_TOL, 4.0)))
+            bound = self._build(rho, n_intervals)
+        if bound > CDF_TOL:
+            raise numerics.QuadratureError(("cdf refinement", n_intervals), CDF_TOL)
         self.n_intervals = n_intervals
-        self._eigen_cache = None
-        self._psi_cache = None
+
+    def _build(self, rho: FockDensityMatrix, n_intervals: int) -> float:
+        """Tabulate the cumulative masses at ``n_intervals``; return the error bound."""
         k_max = rho.n_max
         y_max = default_y_max(rho.n_max)
         fine = np.linspace(-y_max, y_max, 2 * n_intervals + 1)
         h = fine[1] - fine[0]
         psi = numerics.oscillator_eigenfunctions(rho.n_max, fine)
-        simpson = np.empty((k_max + 1, n_intervals), dtype=complex)
-        trapz = np.empty((k_max + 1, n_intervals), dtype=complex)
+        # omega = S_0 + 2 Re sum_{k>=1} e^{i s k phi} S_k; the row (1, cos, sin)
+        # of a record against a table row gives its CDF at that edge
+        masses = np.zeros((2 * k_max + 1, n_intervals))
+        bound = 0.0
         for k in range(k_max + 1):
             diag = np.diagonal(rho.matrix, offset=k)
-            s_k = np.einsum("n,ny,ny->y", diag, psi[: k_max + 1 - k], psi[k:])
-            simpson[k] = (h / 3.0) * (s_k[0:-2:2] + 4.0 * s_k[1:-1:2] + s_k[2::2])
-            trapz[k] = h * (s_k[0:-2:2] + s_k[2::2])
-        # omega = S_0 + 2 Re sum_{k>=1} e^{i s k phi} S_k
-        self.base = simpson[0].real
-        self.cos_mass = 2.0 * simpson[1:].real
-        self.sin_mass = -2.0 * PHASE_SIGN * simpson[1:].imag
-        diff = simpson - trapz
-        self.diff_base = diff[0].real
-        self.diff_cos = 2.0 * diff[1:].real
-        self.diff_sin = -2.0 * PHASE_SIGN * diff[1:].imag
+            nz = np.nonzero(diag)[0]
+            if nz.size == 0:
+                continue
+            s_k = np.einsum("n,ny,ny->y", diag[nz], psi[nz], psi[nz + k])
+            simpson = (h / 3.0) * (s_k[0:-2:2] + 4.0 * s_k[1:-1:2] + s_k[2::2])
+            gap = np.abs(simpson - h * (s_k[0:-2:2] + s_k[2::2])).sum()
+            if k == 0:
+                masses[0] = simpson.real
+                bound += gap
+            else:
+                masses[k] = 2.0 * simpson.real
+                masses[k_max + k] = -2.0 * PHASE_SIGN * simpson.imag
+                bound += 2.0 * gap
+        del psi  # free the eigenfunctions before the cumulative copy is made
+        self.tables = np.cumsum(masses.T, axis=0)
         self.harmonics = np.arange(1, k_max + 1, dtype=float)
         self.edges = fine[::2]
-        # worst case over phi of the summed Simpson-trapezoid gap; when it is
-        # below tolerance no per-record indicator is needed
-        self.indicator_bound = float(
-            np.sum(
-                np.abs(self.diff_base)
-                + np.sqrt(self.diff_cos**2 + self.diff_sin**2).sum(axis=0)
-            )
-        )
+        # worst case over phi of the summed Simpson-trapezoid gap
+        return float(bound)
 
-    def masses(self, phis: np.ndarray):
-        ang = np.outer(phis, self.harmonics)
-        cos_m, sin_m = np.cos(ang), np.sin(ang)
-        mass = self.base[None, :] + cos_m @ self.cos_mass + sin_m @ self.sin_mass
-        return mass, cos_m, sin_m
+    def _cdf(self, coeff: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.einsum("rk,rk->r", coeff, self.tables[idx])
 
-    def indicators(self, cos_m: np.ndarray, sin_m: np.ndarray) -> np.ndarray:
-        gap = self.diff_base[None, :] + cos_m @ self.diff_cos + sin_m @ self.diff_sin
-        return np.abs(gap).sum(axis=1)
-
-    def invert(self, mass: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def sample(self, phis: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Linear-interpolation inverse CDF, one uniform per row."""
-        np.clip(mass, 0.0, None, out=mass)
-        cdf = np.cumsum(mass, axis=1)
-        total = cdf[:, -1]
+        ang = np.outer(phis, self.harmonics)
+        coeff = np.concatenate((np.ones((phis.size, 1)), np.cos(ang), np.sin(ang)), axis=1)
+        last = self.n_intervals - 1
+        total = self._cdf(coeff, np.full(phis.size, last))
         if np.any(total < 0.5) or np.any(total > 1.5):
             raise RuntimeError("density mass is far from 1; state is inconsistent")
-        cdf /= total[:, None]
-        rows = np.arange(mass.shape[0])
-        flat = (cdf + 2.0 * rows[:, None]).ravel()
-        idx = np.searchsorted(flat, u + 2.0 * rows) - rows * self.n_intervals
-        idx = np.clip(idx, 0, self.n_intervals - 1)
-        lower = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-        width = cdf[rows, idx] - lower
-        frac = np.where(width > 0.0, (u - lower) / np.where(width > 0.0, width, 1.0), 0.5)
+        target = u * total
+        # first edge whose CDF reaches the target; hi keeps CDF(hi) >= target
+        lo = np.zeros(phis.size, dtype=np.intp)
+        hi = np.full(phis.size, last)
+        for _ in range(last.bit_length()):
+            mid = (lo + hi) // 2
+            reached = self._cdf(coeff, mid) >= target
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid + 1)
+        upper = self._cdf(coeff, hi)
+        lower = np.where(hi > 0, self._cdf(coeff, np.maximum(hi - 1, 0)), 0.0)
+        width = upper - lower
+        frac = np.where(width > 0.0, (target - lower) / np.where(width > 0.0, width, 1.0), 0.5)
         h = self.edges[1] - self.edges[0]
-        return self.edges[0] + (idx + np.clip(frac, 0.0, 1.0)) * h
-
-    def _density_by_rank(self, phi: float, y_grid: np.ndarray) -> np.ndarray:
-        """Density through the spectral form of rho; cheap for low-rank states."""
-        if self._eigen_cache is None:
-            weights, basis = np.linalg.eigh(self.rho.matrix)
-            # eigh noise on a trace-one PSD matrix sits near 1e-14; dropping
-            # weights below 1e-12 perturbs the CDF far under its tolerance
-            keep = weights > 1e-12 * weights.max()
-            self._eigen_cache = (weights[keep], basis[:, keep])
-        weights, basis = self._eigen_cache
-        if self._psi_cache is None or self._psi_cache[0] != y_grid.size:
-            self._psi_cache = (
-                y_grid.size,
-                numerics.oscillator_eigenfunctions(self.rho.n_max, y_grid),
-            )
-        psi = self._psi_cache[1]
-        phases = np.exp(1j * PHASE_SIGN * phi * np.arange(self.rho.n_max + 1))
-        coeff = (phases[:, None] * basis).T  # (rank, levels)
-        # psi is real; two real products avoid promoting the big cached matrix
-        amp_re = coeff.real @ psi
-        amp_im = coeff.imag @ psi
-        return weights @ (amp_re**2 + amp_im**2)
-
-    def sample_refined(self, phi: float, u: float, indicator: float) -> float:
-        """Slow path: regrid one record until the CDF error passes.
-
-        The Simpson-trapezoid gap falls by ~4x per grid doubling, so the
-        first candidate level is predicted from the measured indicator.
-        """
-        jump = max(1, math.ceil(math.log(max(indicator / CDF_TOL, 1.0), 4.0)))
-        n_intervals = self.n_intervals * 2 ** (jump - 1)
-        y_max = default_y_max(self.rho.n_max)
-        for _ in range(_MAX_GRID_DOUBLINGS):
-            n_intervals *= 2
-            fine = np.linspace(-y_max, y_max, 2 * n_intervals + 1)
-            h = fine[1] - fine[0]
-            dens = np.clip(self._density_by_rank(phi, fine), 0.0, None)
-            simpson = (h / 3.0) * (dens[0:-2:2] + 4.0 * dens[1:-1:2] + dens[2::2])
-            trapz = h * (dens[0:-2:2] + dens[2::2])
-            if np.abs(simpson - trapz).sum() > CDF_TOL:
-                continue
-            mass = np.clip(simpson, 0.0, None)
-            cdf = np.cumsum(mass)
-            target = u * cdf[-1]
-            idx = min(int(np.searchsorted(cdf, target)), n_intervals - 1)
-            lower = cdf[idx - 1] if idx > 0 else 0.0
-            width = mass[idx]
-            frac = (target - lower) / width if width > 0 else 0.5
-            return float(fine[0] + (idx + min(max(frac, 0.0), 1.0)) * 2.0 * h)
-        raise numerics.QuadratureError(("cdf refinement", n_intervals), CDF_TOL)
+        return self.edges[0] + (hi + np.clip(frac, 0.0, 1.0)) * h
 
 
 def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> list[HomodyneRecord]:
     """Draw ``count`` records: phi uniform on [0, 2 pi), y by inverse CDF.
 
-    The CDF grid keeps its estimated error below 1e-4 for every record,
-    doubling the grid for individual records when the base resolution is not
-    enough.  Record i is a pure function of (seed, i).
+    The CDF grid keeps its estimated error below 1e-4 for every record: one
+    grid level is chosen per state, from the worst case over phi, doubling
+    the base grid as often as the state needs.  Record i is a pure function
+    of (seed, i).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -328,20 +294,12 @@ def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> list[Homod
     if tail > rho.tail_tol:
         raise ValueError(f"tail mass {tail:.3e} exceeds tolerance {rho.tail_tol:.1e}")
     sampler = _CdfSampler(rho)
-    check_rows = sampler.indicator_bound > CDF_TOL
     records: list[HomodyneRecord] = []
     for start in range(0, count, _SAMPLE_CHUNK):
         n = min(start + _SAMPLE_CHUNK, count) - start
         u = record_uniforms(seed, start, n, 2)
         phis = 2.0 * np.pi * u[:, 0]
-        mass, cos_m, sin_m = sampler.masses(phis)
-        ys = sampler.invert(mass, u[:, 1])
-        if check_rows:
-            row_err = sampler.indicators(cos_m, sin_m)
-            for r in np.nonzero(row_err > CDF_TOL)[0]:
-                ys[r] = sampler.sample_refined(
-                    float(phis[r]), float(u[r, 1]), float(row_err[r])
-                )
+        ys = sampler.sample(phis, u[:, 1])
         records.extend(
             HomodyneRecord(phi=float(p), y=float(yv)) for p, yv in zip(phis, ys)
         )
@@ -510,22 +468,19 @@ def write_homodyne_records(
                 )
 
 
+def _record_from_json(obj) -> HomodyneRecord:
+    if "y" in obj:
+        y = float(obj["y"])
+    elif "x" in obj:
+        y = math.sqrt(2.0) * float(obj["x"])
+    else:
+        raise ValueError("record line is missing the outcome field")
+    return HomodyneRecord(phi=float(obj["phi"]), y=y)
+
+
 def read_homodyne_records(path) -> list[HomodyneRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "y" in obj:
-                y = float(obj["y"])
-            elif "x" in obj:
-                y = math.sqrt(2.0) * float(obj["x"])
-            else:
-                raise ValueError("record line is missing the outcome field")
-            records.append(HomodyneRecord(phi=float(obj["phi"]), y=y))
-    return records
+    """Records of a JSONL stream in either convention; errors name ``path:line``."""
+    return read_jsonl(path, _record_from_json)
 
 
 def save_homodyne_state(rho: FockDensityMatrix, path) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from ._jsonio import dumps, format_float
+from ._jsonio import dumps, format_float, read_jsonl
 from ._rng import record_uniforms
 
 __all__ = [
@@ -126,7 +126,8 @@ class SpinRecord:
         if len(axis) != 3:
             raise ValueError("axis must have three components")
         norm = float(np.sqrt(sum(c * c for c in axis)))
-        if abs(norm - 1.0) > AXIS_NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= AXIS_NORM_TOL:
             raise ValueError(f"axis must be unit length, got norm {norm!r}")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "two_m", int(self.two_m))
@@ -376,15 +377,10 @@ def write_spin_records(records: Sequence[SpinRecord], path) -> None:
 
 
 def read_spin_records(path) -> list[SpinRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(SpinRecord(axis=tuple(obj["axis"]), two_m=obj["two_m"]))
-    return records
+    """Records of a JSONL stream; errors name ``path:line``."""
+    return read_jsonl(
+        path, lambda obj: SpinRecord(axis=tuple(obj["axis"]), two_m=obj["two_m"])
+    )
 
 
 def save_spin_state(rho: SpinDensityMatrix, path) -> None:

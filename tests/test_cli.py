@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qtomo import cli, homodyne, spin
+from qtomo import cli, homodyne, numerics, spin
 from qtomo._jsonio import dumps
 
 
@@ -250,6 +250,42 @@ class TestErrors:
             },
         )
         assert cli.main(["reconstruct", "--config", config]) == 2
+
+    def test_quadrature_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise numerics.QuadratureError((1e22, 3e22), 1e-10)
+
+        monkeypatch.setattr(homodyne, "kernel_matrix_element", diverge)
+        config = write_config(
+            tmp_path,
+            "export.json",
+            {
+                "target": {"type": "matrix-element", "n": 80, "l": 20},
+                "grid": {"min": 0.7, "max": 0.8, "points": 2},
+                "output_path": str(tmp_path / "kernel.csv"),
+            },
+        )
+        assert cli.main(["kernel-export", "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "quadrature"
+        assert "did not converge" in err["error"]["message"]
+        assert not (tmp_path / "kernel.csv").exists()
+
+    def test_non_finite_record_names_its_line(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 1.0, "y": 0.5}\n{"phi": 1.0, "y": NaN}\n')
+        config = write_config(
+            tmp_path,
+            "rec.json",
+            {"records_path": str(records), "target": {"type": "photon-number"}},
+        )
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["code"] == "config"
+        assert f"{records}:2:" in err["error"]["message"]
+        assert "finite" in err["error"]["message"]
 
 
 class TestJsonSerializer:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtomo import homodyne, mc, numerics
+from qtomo._rng import record_uniforms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -213,12 +214,129 @@ class TestSampling:
         amp[0] = amp[150] = 1.0 / SQRT2
         rho = homodyne.FockDensityMatrix(n_max, np.outer(amp, amp.conj()))
         sampler = homodyne._CdfSampler(rho)
-        assert sampler.indicator_bound > homodyne.CDF_TOL
+        assert sampler.n_intervals > homodyne._BASE_INTERVALS
         records = homodyne.sample_homodyne(rho, 64, seed=21)
         again = homodyne.sample_homodyne(rho, 32, seed=21)
         assert records[:32] == again
         y_max = homodyne.default_y_max(n_max)
         assert all(abs(r.y) <= y_max for r in records)
+
+
+    def test_complex_state_first_moment(self):
+        # E[y e^{i phi}] = Tr[a rho] / sqrt(2) for the locked sign.  The state
+        # has complex coherences and needs a grid finer than the base level,
+        # so a sampler drawing from omega(-phi, y) flips the imaginary part.
+        rng = np.random.default_rng(2)
+        vecs = rng.normal(size=(19, 6)) + 1j * rng.normal(size=(19, 6))
+        m = np.zeros((21, 21), dtype=complex)
+        m[:19, :19] = vecs @ vecs.conj().T
+        rho = homodyne.FockDensityMatrix(20, m / np.trace(m).real)
+        records = homodyne.sample_homodyne(rho, 20_000, seed=1)
+        z = np.array([r.y * np.exp(1j * r.phi) for r in records])
+        want = complex(np.trace(homodyne.annihilation_operator(20) @ rho.matrix)) / SQRT2
+        sigma = math.sqrt(z.size)
+        assert abs(z.mean().real - want.real) <= 5.0 * z.real.std(ddof=1) / sigma
+        assert abs(z.mean().imag - want.imag) <= 5.0 * z.imag.std(ddof=1) / sigma
+
+
+def superposition_0_150():
+    n_max = 160
+    amp = np.zeros(n_max + 1, dtype=complex)
+    amp[0] = amp[150] = 1.0 / SQRT2
+    return homodyne.FockDensityMatrix(n_max, np.outer(amp, amp.conj()))
+
+
+def spectral_density_rows(rho, phis, nodes):
+    """omega(phi, y) per phi on the nodes, from the spectral form of rho.
+
+    omega = sum_j w_j |sum_n e^{-i s n phi} b_j[n] psi_n(y)|^2 for
+    rho = sum_j w_j |b_j><b_j|; nonnegative by construction.
+    """
+    weights, basis = np.linalg.eigh(rho.matrix)
+    keep = weights > 1e-12 * weights.max()
+    weights, basis = weights[keep], basis[:, keep]
+    psi = numerics.oscillator_eigenfunctions(rho.n_max, nodes)
+    levels = np.arange(rho.n_max + 1)
+    out = np.empty((len(phis), nodes.size))
+    for r, phi in enumerate(phis):
+        coeff = (np.exp(-1j * homodyne.PHASE_SIGN * phi * levels)[:, None] * basis).T
+        out[r] = weights @ ((coeff.real @ psi) ** 2 + (coeff.imag @ psi) ** 2)
+    return out
+
+
+def dense_inverse_cdf(mass, u, edges):
+    """Reference: the dense per-row inversion the streaming sampler replaced."""
+    n_intervals = edges.size - 1
+    np.clip(mass, 0.0, None, out=mass)
+    cdf = np.cumsum(mass, axis=1)
+    cdf /= cdf[:, -1:]
+    rows = np.arange(mass.shape[0])
+    flat = (cdf + 2.0 * rows[:, None]).ravel()
+    idx = np.searchsorted(flat, u + 2.0 * rows) - rows * n_intervals
+    idx = np.clip(idx, 0, n_intervals - 1)
+    lower = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
+    width = cdf[rows, idx] - lower
+    frac = np.where(width > 0.0, (u - lower) / np.where(width > 0.0, width, 1.0), 0.5)
+    return edges[0] + (idx + np.clip(frac, 0.0, 1.0)) * (edges[1] - edges[0])
+
+
+class TestSamplerOracle:
+    """Bisection on cumulative harmonic tables against dense per-row inversion."""
+
+    STATES = {
+        "vacuum": lambda: homodyne.vacuum_state(8),
+        "coherent": lambda: homodyne.coherent_state(1.0, 24),
+        "number5": lambda: homodyne.number_state(5, 16),
+        "random8": lambda: random_state(np.random.default_rng(19), 8),
+        "superposition150": superposition_0_150,
+    }
+
+    @staticmethod
+    def simpson_rows(rho, phis, n_intervals):
+        y_max = homodyne.default_y_max(rho.n_max)
+        nodes = np.linspace(-y_max, y_max, 2 * n_intervals + 1)
+        dens = spectral_density_rows(rho, phis, nodes)
+        h = nodes[1] - nodes[0]
+        simpson = (h / 3.0) * (dens[:, 0:-2:2] + 4.0 * dens[:, 1:-1:2] + dens[:, 2::2])
+        trapz = h * (dens[:, 0:-2:2] + dens[:, 2::2])
+        return nodes[::2], simpson, trapz
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_bisection_matches_dense_inversion(self, name):
+        rho = self.STATES[name]()
+        rows, seed = 200, 8
+        records = homodyne.sample_homodyne(rho, rows, seed)
+        u = record_uniforms(seed, 0, rows, 2)
+        phis = 2.0 * np.pi * u[:, 0]
+        assert [r.phi for r in records] == phis.tolist()
+        level = homodyne._CdfSampler(rho).n_intervals
+        edges, mass, _ = self.simpson_rows(rho, phis, level)
+        y_dense = dense_inverse_cdf(mass, u[:, 1], edges)
+        cdf = np.concatenate(
+            (np.zeros((rows, 1)), np.cumsum(mass, axis=1) / mass.sum(axis=1)[:, None]),
+            axis=1,
+        )
+        for r, record in enumerate(records):
+            got = np.interp(record.y, edges, cdf[r])
+            want = np.interp(y_dense[r], edges, cdf[r])
+            assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_chosen_level_meets_cdf_tolerance(self, name):
+        rho = self.STATES[name]()
+        level = homodyne._CdfSampler(rho).n_intervals
+        phis = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        _, simpson, trapz = self.simpson_rows(rho, phis, level)
+        assert np.abs(simpson - trapz).sum(axis=1).max() <= homodyne.CDF_TOL
+
+    def test_spectral_density_matches_library_density(self):
+        for make in self.STATES.values():
+            rho = make()
+            y = np.linspace(-4.0, 4.0, 101)
+            for phi in (0.4, 2.9):
+                got = spectral_density_rows(rho, [phi], y)[0]
+                want = homodyne.quadrature_density_grid(rho, phi, y)
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestKernel:
@@ -345,6 +463,21 @@ class TestRecordIO:
         parsed = json.loads(path.read_text().strip())
         assert parsed["phi"] == records[0].phi
         assert parsed["y"] == records[0].y
+
+    def test_rejects_non_finite_outcome(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                homodyne.HomodyneRecord(phi=0.5, y=bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"phi": 0.5, "y": Infinity}', '{"phi": NaN, "y": 0.5}', '{"y": 0.5}', "{"],
+    )
+    def test_reader_names_bad_line(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"phi": 0.5, "y": 0.5}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: "):
+            homodyne.read_homodyne_records(path)
 
     def test_state_roundtrip(self, tmp_path):
         rho = homodyne.coherent_state(0.9 + 0.2j, 14)

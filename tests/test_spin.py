@@ -334,6 +334,25 @@ class TestRecordIO:
             tmp_path / "records2.jsonl"
         ).read_bytes()
 
+    def test_rejects_non_finite_axis(self):
+        for bad in ((math.nan, 0.0, 1.0), (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="unit length"):
+                spin.SpinRecord(axis=bad, two_m=1)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"axis": [NaN, 0.0, 1.0], "two_m": 1}',
+            '{"axis": [0.0, 0.0, 1.0], "two_m": Infinity}',
+            '{"axis": [0.0, 0.0, 1.0]}',
+        ],
+    )
+    def test_reader_names_bad_line(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"axis": [0.0, 0.0, 1.0], "two_m": 1}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: "):
+            spin.read_spin_records(path)
+
     def test_state_roundtrip(self, tmp_path):
         rng = np.random.default_rng(93)
         rho = random_state(rng, 2)
