@@ -28,7 +28,7 @@ for phi in (0.0, math.pi / 4, math.pi / 2):
 
 # --- synthesize one record stream ----------------------------------------
 records = homodyne.sample_homodyne(rho, COUNT, SEED)
-ys = np.array([r.y for r in records])
+ys = records["y"]
 print(f"\nsampled {COUNT} records (seed {SEED})")
 print(f"  mean y  = {ys.mean():+.4f} (phase-averaged drift -> 0)")
 print(f"  var y   = {ys.var():.4f}   (|alpha|^2 + 1/2 = {abs(ALPHA) ** 2 + 0.5:.3f})")

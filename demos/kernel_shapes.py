@@ -55,6 +55,6 @@ print(f"wrote {path.name}")
 
 # --- the photon-number estimator is a plain parabola ------------------------
 print("\nphoton-number estimator y^2 - 1/2:")
-for y in (0.0, 1.0, 2.0):
-    rec = homodyne.HomodyneRecord(phi=0.0, y=y)
-    print(f"  y = {y:3.1f}: {homodyne.estimator_photon_number(rec):+.2f}")
+records = homodyne.homodyne_records([0.0, 0.0, 0.0], [0.0, 1.0, 2.0])
+for y, value in zip(records["y"], homodyne.estimator_photon_number(records)):
+    print(f"  y = {y:3.1f}: {value:+.2f}")

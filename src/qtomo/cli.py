@@ -3,8 +3,8 @@ oracle validation gate, all driven by a single JSON config document.
 
 Flags only override seed, count and paths, so an archived config file
 reproduces a run exactly.  Exit codes: 0 success, 1 validation failure,
-2 config, file or quadrature error (with a machine-readable object on
-stderr).
+2 config, file, record data or quadrature error (with a machine-readable
+object on stderr).
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import groups, homodyne, mc, numerics, spin
-from ._jsonio import dumps, format_float
+from ._jsonio import RecordError, complex_matrix, dumps, format_float
 
 __all__ = ["main", "run_validation_suite"]
 
@@ -93,14 +92,9 @@ def _named_spin_operator(name: str, two_j: int) -> np.ndarray:
         raise ConfigError(f"unknown spin operator {name!r}; use Jx, Jy or Jz") from None
 
 
-def _spin_matrix_from_target(target: dict) -> np.ndarray:
-    rows = _require(target, "matrix", list)
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def _spin_target_operator(cfg: dict, target: dict) -> np.ndarray:
     if target["type"] == "spin-matrix":
-        return _spin_matrix_from_target(target)
+        return complex_matrix(_require(target, "matrix", list))
     name = _require(target, "name", str)
     two_j = target.get("two_j", cfg.get("two_j"))
     if two_j is None:
@@ -154,9 +148,7 @@ def _run_reconstruct(cfg: dict) -> int:
     else:
         records = spin.read_spin_records(records_path)
         kernel = spin.spin_operator_kernel(_spin_target_operator(cfg, target))
-    # worker count comes from the environment only and never changes results
-    workers = max(1, int(os.environ.get("QTOMO_WORKERS", "1")))
-    result = mc.reconstruct(records, kernel, shards=workers)
+    result = mc.reconstruct(records, kernel)
     payload = {
         "observable": _observable_id(target),
         "mean": [result["mean"].real, result["mean"].imag],
@@ -335,6 +327,8 @@ def main(argv=None) -> int:
         return _RUNNERS[args.mode](cfg)
     except ConfigError as exc:
         return _fail("config", str(exc))
+    except RecordError as exc:
+        return _fail("data", str(exc))
     except FileNotFoundError as exc:
         return _fail("file", f"{exc.strerror}: {exc.filename}")
     except numerics.QuadratureError as exc:

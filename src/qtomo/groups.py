@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureError
-from .spin import _axis_eigh_stack, _sphere_grid
+from .numerics import QuadratureError, sphere_rule
+from .spin import axis_eigh
 
 __all__ = [
     "QuorumSpec",
@@ -127,19 +127,18 @@ def _radial_nodes(n_panels: int):
 
 
 def _haar_level(f: Callable[[np.ndarray], complex], sphere_order: int, radial_panels: int) -> complex:
-    axes, sphere_w = _sphere_grid(sphere_order)
+    axes, sphere_w = sphere_rule(sphere_order)
     t, t_w = _radial_nodes(radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
-    cos_half = np.cos(t / 2.0)
-    sin_half = np.sin(t / 2.0)
-    total = 0.0 + 0.0j
+    cos_half = np.cos(t / 2.0)[:, None, None]
+    i_sin_half = 1j * np.sin(t / 2.0)[:, None, None]
     eye = np.eye(2, dtype=complex)
-    for axis, w_n in zip(axes, sphere_w):
-        n_sigma = axis[0] * _SIGMA[0] + axis[1] * _SIGMA[1] + axis[2] * _SIGMA[2]
-        acc = 0.0 + 0.0j
-        for c, s, w_t in zip(cos_half, sin_half, t_w):
-            acc += w_t * complex(f(c * eye + 1j * s * n_sigma))
-        total += w_n * acc
+    total = 0.0 + 0.0j
+    # one sphere node at a time: its radial stack of chart points, then f on each
+    for n_sigma, w_n in zip(np.tensordot(axes, _SIGMA, axes=1), sphere_w):
+        stack = cos_half * eye + i_sin_half * n_sigma
+        values = np.array([complex(f(g)) for g in stack])
+        total += w_n * (t_w @ values)
     return 4.0 * math.pi * total
 
 
@@ -168,12 +167,12 @@ def _ortho_level(
     sphere_order: int,
     radial_panels: int,
 ) -> complex:
-    axes, sphere_w = _sphere_grid(sphere_order)
+    axes, sphere_w = sphere_rule(sphere_order)
     t, t_w = _radial_nodes(radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     phases = np.exp(1j * np.outer(t, m_values))  # (t, m)
-    _, vectors = _axis_eigh_stack(two_j, axes)
+    _, vectors = axis_eigh(two_j, axes)
     # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m per sphere node
     cu1 = np.einsum("rnm,n->rm", vectors, u1.conj())
     cu2 = np.einsum("rnm,n->rm", vectors, u2.conj())

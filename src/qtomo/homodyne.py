@@ -9,22 +9,20 @@ the photon number by y^2 - 1/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import numerics
-from ._jsonio import dumps, format_float, read_jsonl
+from ._jsonio import check_batch, check_rows, format_float, load_state, read_jsonl, save_state
 from ._rng import record_uniforms
 
 __all__ = [
     "PHASE_SIGN",
+    "HOMODYNE_DTYPE",
     "FockDensityMatrix",
-    "HomodyneRecord",
+    "homodyne_records",
     "vacuum_state",
     "number_state",
     "coherent_state",
@@ -62,6 +60,9 @@ _SAMPLE_CHUNK = 8192
 _KERNEL_CHUNK = 4096
 _MAX_GRID_DOUBLINGS = 4
 
+# one quorum draw: phase phi in [0, 2 pi) and outcome y of Y_phi
+HOMODYNE_DTYPE = np.dtype([("phi", np.float64), ("y", np.float64)])
+
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
@@ -74,26 +75,13 @@ class FockDensityMatrix:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        m = np.array(self.matrix, dtype=complex)
-        dim = self.n_max + 1
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim}, got {m.shape}")
-        asym = numerics.hermitian_asymmetry(m)
-        if asym > 1e-12:
-            raise numerics.NonHermitianError(asym, 1e-12)
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1, got {trace!r}")
-        eigmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if eigmin < -1e-10:
-            raise ValueError(f"state not positive semidefinite: min eigenvalue {eigmin:.3e}")
+        m = numerics.density_matrix(self.matrix, self.n_max + 1)
         tail = float(m[-1, -1].real)
         if tail > self.tail_tol:
             raise ValueError(
                 f"tail mass <n_max|rho|n_max> = {tail:.3e} exceeds {self.tail_tol:.1e}; "
                 "increase n_max"
             )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -101,22 +89,22 @@ class FockDensityMatrix:
         return self.n_max + 1
 
 
-@dataclass(frozen=True)
-class HomodyneRecord:
-    """One quorum draw: phase phi in [0, 2 pi) and outcome y of Y_phi."""
+def homodyne_records(phi, y) -> np.ndarray:
+    """Record batch of ``HOMODYNE_DTYPE`` from equal-length phi and y columns.
 
-    phi: float
-    y: float
-
-    def __post_init__(self):
-        phi = float(self.phi)
-        if not 0.0 <= phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {phi!r}")
-        y = float(self.y)
-        if not math.isfinite(y):
-            raise ValueError(f"y must be finite, got {y!r}")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "y", y)
+    Checked once over the batch; a RecordError names the first bad row.
+    """
+    phi = np.asarray(phi, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if phi.ndim != 1 or phi.shape != y.shape:
+        raise ValueError("phi and y must be 1-d arrays of one length")
+    check_rows([
+        ((phi >= 0.0) & (phi < 2.0 * math.pi), "phi must lie in [0, 2 pi)", phi),
+        (np.isfinite(y), "y must be finite", y),
+    ])
+    batch = np.empty(phi.size, dtype=HOMODYNE_DTYPE)
+    batch["phi"], batch["y"] = phi, y
+    return batch
 
 
 def vacuum_state(n_max: int) -> FockDensityMatrix:
@@ -280,7 +268,7 @@ class _CdfSampler:
         return self.edges[0] + (hi + np.clip(frac, 0.0, 1.0)) * h
 
 
-def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> list[HomodyneRecord]:
+def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` records: phi uniform on [0, 2 pi), y by inverse CDF.
 
     The CDF grid keeps its estimated error below 1e-4 for every record: one
@@ -290,20 +278,15 @@ def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> list[Homod
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    tail = float(rho.matrix[-1, -1].real)
-    if tail > rho.tail_tol:
-        raise ValueError(f"tail mass {tail:.3e} exceeds tolerance {rho.tail_tol:.1e}")
     sampler = _CdfSampler(rho)
-    records: list[HomodyneRecord] = []
+    phis = np.empty(count)
+    ys = np.empty(count)
     for start in range(0, count, _SAMPLE_CHUNK):
-        n = min(start + _SAMPLE_CHUNK, count) - start
-        u = record_uniforms(seed, start, n, 2)
-        phis = 2.0 * np.pi * u[:, 0]
-        ys = sampler.sample(phis, u[:, 1])
-        records.extend(
-            HomodyneRecord(phi=float(p), y=float(yv)) for p, yv in zip(phis, ys)
-        )
-    return records
+        stop = min(start + _SAMPLE_CHUNK, count)
+        u = record_uniforms(seed, start, stop - start, 2)
+        phis[start:stop] = 2.0 * np.pi * u[:, 0]
+        ys[start:stop] = sampler.sample(phis[start:stop], u[:, 1])
+    return homodyne_records(phis, ys)
 
 
 def default_kernel_cutoff(n: int, l: int) -> float:
@@ -385,10 +368,8 @@ def _kernel_panel_sum(n: int, l: int, ys: np.ndarray, cutoff: float, panels: int
     return np.exp(1j * np.outer(ys, nodes)) @ weighted
 
 
-def estimator_matrix_element(
-    n: int, l: int, record: HomodyneRecord, cutoff: float | None = None
-) -> complex:
-    """Estimator value for the density-matrix element rho_{n+l, n}.
+def estimator_matrix_element(n: int, l: int, record, cutoff: float | None = None) -> complex:
+    """Estimator value for the density-matrix element rho_{n+l, n} at one record.
 
     For l >= 0 this is e^{i l phi} K_{n,l}(y); negative l is obtained from
     the Hermitian-symmetric element by conjugation.
@@ -396,15 +377,15 @@ def estimator_matrix_element(
     if n < 0 or n + l < 0:
         raise ValueError("indices must satisfy n >= 0 and n + l >= 0")
     if l >= 0:
-        return np.exp(1j * l * record.phi) * kernel_matrix_element(
-            n, l, record.y, cutoff
+        return np.exp(1j * l * record["phi"]) * kernel_matrix_element(
+            n, l, float(record["y"]), cutoff
         )
     return complex(np.conj(estimator_matrix_element(n + l, -l, record, cutoff)))
 
 
-def estimator_photon_number(record: HomodyneRecord) -> float:
-    """Estimator of Tr[a^dag a rho]: y^2 - 1/2 in the Y convention."""
-    return record.y * record.y - 0.5
+def estimator_photon_number(records):
+    """Estimator of Tr[a^dag a rho], y^2 - 1/2 in the Y convention, per record."""
+    return records["y"] * records["y"] - 0.5
 
 
 class MatrixElementKernel:
@@ -419,14 +400,11 @@ class MatrixElementKernel:
         self._cutoff = cutoff if cutoff is not None else default_kernel_cutoff(base_n, base_l)
         self._tol = tol
 
-    def evaluate(self, records: Sequence[HomodyneRecord]) -> np.ndarray:
-        if not all(isinstance(r, HomodyneRecord) for r in records):
-            raise TypeError("homodyne kernel requires HomodyneRecord inputs")
-        phis = np.array([r.phi for r in records], dtype=float)
-        ys = np.array([r.y for r in records], dtype=float)
+    def evaluate(self, records: np.ndarray) -> np.ndarray:
+        check_batch(records, HOMODYNE_DTYPE, "homodyne")
         base_n, base_l = self._base
-        values = np.exp(1j * base_l * phis) * _kernel_values_batch(
-            base_n, base_l, ys, self._cutoff, self._tol
+        values = np.exp(1j * base_l * records["phi"]) * _kernel_values_batch(
+            base_n, base_l, records["y"], self._cutoff, self._tol
         )
         return values if self.l >= 0 else values.conj()
 
@@ -434,11 +412,9 @@ class MatrixElementKernel:
 class PhotonNumberKernel:
     """Batch estimator kernel for the mean photon number."""
 
-    def evaluate(self, records: Sequence[HomodyneRecord]) -> np.ndarray:
-        if not all(isinstance(r, HomodyneRecord) for r in records):
-            raise TypeError("homodyne kernel requires HomodyneRecord inputs")
-        ys = np.array([r.y for r in records], dtype=float)
-        return (ys * ys - 0.5).astype(complex)
+    def evaluate(self, records: np.ndarray) -> np.ndarray:
+        check_batch(records, HOMODYNE_DTYPE, "homodyne")
+        return estimator_photon_number(records).astype(complex)
 
 
 def matrix_element_kernel(n: int, l: int, cutoff: float | None = None) -> MatrixElementKernel:
@@ -449,52 +425,41 @@ def photon_number_kernel() -> PhotonNumberKernel:
     return PhotonNumberKernel()
 
 
-def write_homodyne_records(
-    records: Sequence[HomodyneRecord], path, convention: str = "Y"
-) -> None:
+def write_homodyne_records(records: np.ndarray, path, convention: str = "Y") -> None:
     """JSONL stream; the X convention stores x = y / sqrt(2) under key "x"."""
     if convention not in ("Y", "X"):
         raise ValueError("convention must be 'Y' or 'X'")
+    if convention == "Y":
+        key, outcome = "y", records["y"]
+    else:
+        key, outcome = "x", records["y"] / math.sqrt(2.0)
+    phis = records["phi"]
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            if convention == "Y":
-                fh.write(
-                    f'{{"phi": {format_float(r.phi)}, "y": {format_float(r.y)}}}\n'
-                )
-            else:
-                fh.write(
-                    f'{{"phi": {format_float(r.phi)}, '
-                    f'"x": {format_float(r.y / math.sqrt(2.0))}}}\n'
-                )
+        for start in range(0, len(records), _SAMPLE_CHUNK):
+            stop = start + _SAMPLE_CHUNK
+            for phi, value in zip(phis[start:stop].tolist(), outcome[start:stop].tolist()):
+                fh.write(f'{{"phi": {format_float(phi)}, "{key}": {format_float(value)}}}\n')
 
 
-def _record_from_json(obj) -> HomodyneRecord:
+def _row_from_json(obj) -> tuple[float, float]:
     if "y" in obj:
         y = float(obj["y"])
     elif "x" in obj:
         y = math.sqrt(2.0) * float(obj["x"])
     else:
         raise ValueError("record line is missing the outcome field")
-    return HomodyneRecord(phi=float(obj["phi"]), y=y)
+    return float(obj["phi"]), y
 
 
-def read_homodyne_records(path) -> list[HomodyneRecord]:
-    """Records of a JSONL stream in either convention; errors name ``path:line``."""
-    return read_jsonl(path, _record_from_json)
+def read_homodyne_records(path) -> np.ndarray:
+    """Record batch of a JSONL stream in either convention; errors name ``path:line``."""
+    return read_jsonl(path, _row_from_json, lambda v: homodyne_records(*v.reshape(-1, 2).T))
 
 
 def save_homodyne_state(rho: FockDensityMatrix, path) -> None:
     """JSON state file: {"n_max": N, "rho": [[[re, im], ...], ...]}."""
-    payload = {
-        "n_max": rho.n_max,
-        "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix],
-    }
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    save_state(path, "n_max", rho.n_max, rho.matrix)
 
 
 def load_homodyne_state(path) -> FockDensityMatrix:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["rho"]], dtype=complex
-    )
-    return FockDensityMatrix(int(obj["n_max"]), matrix)
+    return FockDensityMatrix(*load_state(path, "n_max"))

@@ -1,24 +1,23 @@
-"""Streaming Monte Carlo aggregation of estimator values over records.
+"""Monte Carlo aggregation of estimator values over records.
 
-Accumulators are immutable values with a Chan-style merge, so a record
-stream can be partitioned across workers in any layout: determinism comes
-from the merge invariant, not from processing order.  Real and imaginary
-second moments are tracked separately because error bars are checked per
-component.
+Accumulators are immutable values with the Chan-Golub-LeVeque merge
+(1983), so a record stream can be split into shards in any layout:
+determinism comes from the merge invariant, not from processing order.
+Each shard's moments come from two numpy passes (mean, then the sum of
+squared deviations).  Real and imaginary second moments are tracked
+separately because error bars are checked per component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "RunningEstimate",
-    "empty_estimate",
-    "update",
+    "moments",
     "merge",
     "finalize",
     "reconstruct",
@@ -33,22 +32,18 @@ class RunningEstimate:
     m2_im: float = 0.0
 
 
-def empty_estimate() -> RunningEstimate:
-    return RunningEstimate()
-
-
-def update(acc: RunningEstimate, value: complex) -> RunningEstimate:
-    """One Welford step on the complex value."""
-    value = complex(value)
-    count = acc.count + 1
-    delta = value - acc.mean
-    mean = acc.mean + delta / count
-    delta2 = value - mean
+def moments(values) -> RunningEstimate:
+    """Count, mean and per-component M2 of one shard of complex values."""
+    values = np.asarray(values, dtype=complex)
+    if values.size == 0:
+        return RunningEstimate()
+    mean = values.mean()
+    dev = values - mean
     return RunningEstimate(
-        count=count,
-        mean=mean,
-        m2_re=acc.m2_re + delta.real * delta2.real,
-        m2_im=acc.m2_im + delta.imag * delta2.imag,
+        count=values.size,
+        mean=complex(mean),
+        m2_re=float(np.dot(dev.real, dev.real)),
+        m2_im=float(np.dot(dev.imag, dev.imag)),
     )
 
 
@@ -86,18 +81,11 @@ def finalize(acc: RunningEstimate) -> dict:
     }
 
 
-def _accumulate(values: np.ndarray) -> RunningEstimate:
-    acc = RunningEstimate()
-    for v in values:
-        acc = update(acc, v)
-    return acc
+def reconstruct(records, kernel, shards: int = 1) -> dict:
+    """Average the estimator kernel over a record batch.
 
-
-def reconstruct(records: Sequence, kernel, shards: int = 1) -> dict:
-    """Average the estimator kernel over a record stream.
-
-    The stream is split into ``shards`` contiguous parts, each folded through
-    :func:`update` and combined with :func:`merge`; the result is identical
+    The values are split into ``shards`` contiguous parts, each reduced by
+    :func:`moments` and combined with :func:`merge`; the result is identical
     (to roundoff) for any shard count.
     """
     if len(records) == 0:
@@ -107,5 +95,5 @@ def reconstruct(records: Sequence, kernel, shards: int = 1) -> dict:
     values = np.asarray(kernel.evaluate(records), dtype=complex)
     acc = RunningEstimate()
     for part in np.array_split(values, min(shards, len(records))):
-        acc = merge(acc, _accumulate(part))
+        acc = merge(acc, moments(part))
     return finalize(acc)

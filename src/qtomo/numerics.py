@@ -16,13 +16,16 @@ __all__ = [
     "QuadratureError",
     "HermitianEigen",
     "hermitian_asymmetry",
+    "require_hermitian",
     "hermitian_eigen",
+    "density_matrix",
     "unitary_evolution",
     "laguerre",
     "oscillator_eigenfunction",
     "oscillator_eigenfunctions",
     "integrate_real",
     "integrate_oscillatory",
+    "sphere_rule",
 ]
 
 MAX_EIGEN_DIM = 512
@@ -75,6 +78,15 @@ def hermitian_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """``m`` as a complex array; NonHermitianError if its asymmetry exceeds ``tol``."""
+    m = np.asarray(m, dtype=complex)
+    asym = hermitian_asymmetry(m)
+    if asym > tol:
+        raise NonHermitianError(asym, tol)
+    return m
+
+
 def hermitian_eigen(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
 
@@ -87,14 +99,28 @@ def hermitian_eigen(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds supported {MAX_EIGEN_DIM}")
-    asym = hermitian_asymmetry(m)
-    if asym > tol:
-        raise NonHermitianError(asym, tol)
+    require_hermitian(m, tol)
     try:
         values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
     return HermitianEigen(values, vectors)
+
+
+def density_matrix(matrix, dim: int) -> np.ndarray:
+    """Read-only complex copy of a ``dim`` x ``dim`` Hermitian, unit-trace, PSD matrix."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"matrix must be {dim}x{dim}, got {m.shape}")
+    require_hermitian(m)
+    trace = complex(np.trace(m))
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"trace must be 1, got {trace!r}")
+    eigmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    if eigmin < -1e-10:
+        raise ValueError(f"state not positive semidefinite: min eigenvalue {eigmin:.3e}")
+    m.setflags(write=False)
+    return m
 
 
 def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
@@ -215,3 +241,17 @@ def integrate_oscillatory(
             return complex(cur)
         prev = cur
     raise QuadratureError((complex(prev), complex(cur)), tol)
+
+
+def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes (r, 3) and weights of a rule for the normalized dOmega.
+
+    Gauss-Legendre in cos(theta) at ``order`` nodes times ``2 order``
+    equally spaced azimuths; the weights sum to 1.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    az = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
+    cos_t, az = (g.ravel() for g in np.meshgrid(nodes, az, indexing="ij"))
+    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
+    axes = np.stack([sin_t * np.cos(az), sin_t * np.sin(az), cos_t], axis=1)
+    return axes, np.repeat(weights, 2 * order) / (4.0 * order)

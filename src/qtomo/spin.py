@@ -8,22 +8,21 @@ magnetic number m = -j..+j throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import numerics
-from ._jsonio import dumps, format_float, read_jsonl
+from ._jsonio import check_batch, check_rows, format_float, load_state, read_jsonl, save_state
 from ._rng import record_uniforms
 
 __all__ = [
+    "SPIN_DTYPE",
     "SpinDensityMatrix",
-    "SpinRecord",
+    "spin_records",
     "spin_matrices",
     "axis_operator",
+    "axis_eigh",
     "spin_probabilities",
     "sample_spin",
     "kernel_spin_closed",
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 AXIS_NORM_TOL = 1e-12
+
+# one record: spin along ``axis`` gave magnetic number two_m / 2
+SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
 _SAMPLE_CHUNK = 8192
 
@@ -93,44 +95,30 @@ class SpinDensityMatrix:
     def __post_init__(self):
         if self.two_j < 1:
             raise ValueError("two_j must be >= 1")
-        m = np.array(self.matrix, dtype=complex)
-        dim = self.two_j + 1
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim}, got {m.shape}")
-        asym = numerics.hermitian_asymmetry(m)
-        if asym > 1e-12:
-            raise numerics.NonHermitianError(asym, 1e-12)
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1, got {trace!r}")
-        eigmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if eigmin < -1e-10:
-            raise ValueError(f"state not positive semidefinite: min eigenvalue {eigmin:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", numerics.density_matrix(self.matrix, self.two_j + 1))
 
     @property
     def dim(self) -> int:
         return self.two_j + 1
 
 
-@dataclass(frozen=True)
-class SpinRecord:
-    """One measurement: spin along ``axis`` gave magnetic number two_m / 2."""
+def spin_records(axes, two_m) -> np.ndarray:
+    """Record batch of ``SPIN_DTYPE`` from unit axes (N, 3) and integer two_m (N,).
 
-    axis: tuple[float, float, float]
-    two_m: int
-
-    def __post_init__(self):
-        axis = tuple(float(c) for c in self.axis)
-        if len(axis) != 3:
-            raise ValueError("axis must have three components")
-        norm = float(np.sqrt(sum(c * c for c in axis)))
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= AXIS_NORM_TOL:
-            raise ValueError(f"axis must be unit length, got norm {norm!r}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "two_m", int(self.two_m))
+    Checked once over the batch; a RecordError names the first bad row.
+    """
+    axes = np.asarray(axes, dtype=float)
+    two_m = np.asarray(two_m)
+    if axes.ndim != 2 or axes.shape[1] != 3 or two_m.shape != axes.shape[:1]:
+        raise ValueError("axes must have shape (N, 3) and two_m shape (N,)")
+    if two_m.dtype.kind not in "iu":
+        raise ValueError(f"two_m must hold integers, got dtype {two_m.dtype}")
+    norm = np.sqrt(np.einsum("ri,ri->r", axes, axes))
+    # written so that a NaN norm fails too
+    check_rows([(np.abs(norm - 1.0) <= AXIS_NORM_TOL, "axis must be unit length", norm)])
+    batch = np.empty(two_m.size, dtype=SPIN_DTYPE)
+    batch["axis"], batch["two_m"] = axes, two_m
+    return batch
 
 
 def _check_two_m(two_j: int, two_m: int):
@@ -143,8 +131,8 @@ def maximally_mixed(two_j: int) -> SpinDensityMatrix:
     return SpinDensityMatrix(two_j, np.eye(dim, dtype=complex) / dim)
 
 
-def _axis_eigh_stack(two_j: int, axes: np.ndarray):
-    """Stacked eigendecomposition of J_n for axes of shape (r, 3)."""
+def axis_eigh(two_j: int, axes: np.ndarray):
+    """Stacked eigendecomposition of J_n for axes of shape (r, 3), m ascending."""
     jx, jy, jz = spin_matrices(two_j)
     stack = (
         axes[:, 0, None, None] * jx
@@ -159,8 +147,22 @@ def _axis_eigh_stack(two_j: int, axes: np.ndarray):
     return values, vectors
 
 
+def _diagonals(a_matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Diagonal a_m of A in each eigenbasis of a stack, shape (r, 2j+1)."""
+    return np.einsum("rnk,nm,rmk->rk", vectors.conj(), a_matrix, vectors)
+
+
+def _sigma_table(a_diag: np.ndarray) -> np.ndarray:
+    """Kernel sigma(A)(n, lambda) for every lambda = -j..+j, one row per axis.
+
+    (2j+1) (a_lambda - (a_{lambda+1} + a_{lambda-1}) / 2), a_m = 0 outside -j..+j.
+    """
+    padded = np.pad(a_diag, ((0, 0), (1, 1)))
+    return a_diag.shape[1] * (a_diag - 0.5 * (padded[:, 2:] + padded[:, :-2]))
+
+
 def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndarray:
-    p = np.einsum("rnk,nm,rmk->rk", vectors.conj(), rho.matrix, vectors).real
+    p = _diagonals(rho.matrix, vectors).real
     np.clip(p, 0.0, None, out=p)
     return p / p.sum(axis=1, keepdims=True)
 
@@ -172,14 +174,14 @@ def spin_probabilities(rho: SpinDensityMatrix, axis) -> np.ndarray:
     result is independent of the eigensolver's phase choices.
     """
     axis = _check_axis(axis)
-    _, vectors = _axis_eigh_stack(rho.two_j, axis[None, :])
+    _, vectors = axis_eigh(rho.two_j, axis[None, :])
     p = _probabilities_stack(rho, vectors)[0]
     if abs(p.sum() - 1.0) > 1e-10:
         raise RuntimeError("probabilities failed to normalize")
     return p
 
 
-def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> list[SpinRecord]:
+def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` records: axis uniform on the sphere, outcome from p_m.
 
     Record i is a pure function of (seed, i); prefixes of longer runs and
@@ -187,42 +189,30 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> list[SpinRecor
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    records: list[SpinRecord] = []
     two_j = rho.two_j
+    axes = np.empty((count, 3))
+    two_m = np.empty(count, dtype=np.int64)
     for start in range(0, count, _SAMPLE_CHUNK):
         n = min(start + _SAMPLE_CHUNK, count) - start
         u = record_uniforms(seed, start, n, 3)
         z = 2.0 * u[:, 0] - 1.0
         az = 2.0 * np.pi * u[:, 1]
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        axes = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
-        _, vectors = _axis_eigh_stack(two_j, axes)
+        chunk = axes[start : start + n]
+        chunk[:] = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
+        _, vectors = axis_eigh(two_j, chunk)
         probs = _probabilities_stack(rho, vectors)
         cdf = np.cumsum(probs, axis=1)
         draws = u[:, 2] * cdf[:, -1]
         idx = np.minimum((cdf >= draws[:, None]).argmax(axis=1), two_j)
-        for r in range(n):
-            records.append(
-                SpinRecord(
-                    axis=(axes[r, 0], axes[r, 1], axes[r, 2]),
-                    two_m=int(-two_j + 2 * idx[r]),
-                )
-            )
-    return records
+        two_m[start : start + n] = -two_j + 2 * idx
+    return spin_records(axes, two_m)
 
 
 def _axis_expectations(a_matrix: np.ndarray, two_j: int, axis) -> np.ndarray:
     axis = _check_axis(axis)
-    _, vectors = _axis_eigh_stack(two_j, axis[None, :])
-    v = vectors[0]
-    return np.einsum("nk,nm,mk->k", v.conj(), a_matrix, v)
-
-
-def _closed_from_diagonal(a_diag: np.ndarray, two_j: int, two_lambda: int):
-    idx = (two_lambda + two_j) // 2
-    upper = a_diag[idx + 1] if idx + 1 <= two_j else 0.0
-    lower = a_diag[idx - 1] if idx - 1 >= 0 else 0.0
-    return (two_j + 1) * (a_diag[idx] - 0.5 * (upper + lower))
+    _, vectors = axis_eigh(two_j, axis[None, :])
+    return _diagonals(a_matrix, vectors)
 
 
 def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda: int) -> complex:
@@ -230,8 +220,8 @@ def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda: int) -> c
     a_matrix = np.asarray(a_matrix, dtype=complex)
     two_j = a_matrix.shape[0] - 1
     _check_two_m(two_j, two_lambda)
-    a_diag = _axis_expectations(a_matrix, two_j, axis)
-    return complex(_closed_from_diagonal(a_diag, two_j, two_lambda))
+    sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))
+    return complex(sigma[0, (two_lambda + two_j) // 2])
 
 
 def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
@@ -242,10 +232,7 @@ def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     Averaged over records it reproduces Tr[A rho]; this is the production
     path, with :func:`kernel_spin_numeric` as the quadrature oracle.
     """
-    a_matrix = np.asarray(a_matrix, dtype=complex)
-    asym = numerics.hermitian_asymmetry(a_matrix)
-    if asym > 1e-12:
-        raise numerics.NonHermitianError(asym, 1e-12)
+    a_matrix = numerics.require_hermitian(a_matrix)
     return float(kernel_spin_closed_general(a_matrix, axis, two_lambda).real)
 
 
@@ -258,13 +245,10 @@ def kernel_spin_numeric(
     a full period and checks that the imaginary residue is below 1e-9 before
     discarding it.
     """
-    a_matrix = np.asarray(a_matrix, dtype=complex)
-    asym = numerics.hermitian_asymmetry(a_matrix)
-    if asym > 1e-12:
-        raise numerics.NonHermitianError(asym, 1e-12)
+    a_matrix = numerics.require_hermitian(a_matrix)
     two_j = a_matrix.shape[0] - 1
     _check_two_m(two_j, two_lambda)
-    a_diag = _axis_expectations(a_matrix, two_j, axis)
+    a_diag = _axis_expectations(a_matrix, two_j, axis)[0]
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
 
     def g(t):
@@ -275,23 +259,6 @@ def kernel_spin_numeric(
     if abs(value.imag) > 1e-9:
         raise RuntimeError(f"kernel integral has imaginary residue {value.imag:.3e}")
     return float(value.real)
-
-
-def _sphere_grid(sphere_order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(sphere_order)
-    n_az = 2 * sphere_order
-    az = 2.0 * np.pi * np.arange(n_az) / n_az
-    cos_t = np.repeat(nodes, n_az)
-    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
-    axes = np.stack(
-        [sin_t * np.cos(np.tile(az, sphere_order)),
-         sin_t * np.sin(np.tile(az, sphere_order)),
-         cos_t],
-        axis=1,
-    )
-    # dOmega is normalized: GL weights sum to 2, azimuth is an equal-weight ring
-    w = np.repeat(weights, n_az) / (2.0 * n_az)
-    return axes, w
 
 
 def exact_reconstruction(
@@ -306,27 +273,21 @@ def exact_reconstruction(
     """
     if sphere_order < 8:
         raise ValueError("sphere_order must be >= 8")
-    a_matrix = np.asarray(a_matrix, dtype=complex)
-    asym = numerics.hermitian_asymmetry(a_matrix)
-    if asym > 1e-12:
-        raise numerics.NonHermitianError(asym, 1e-12)
+    a_matrix = numerics.require_hermitian(a_matrix)
     two_j = rho.two_j
     if a_matrix.shape != (two_j + 1, two_j + 1):
         raise ValueError("operator dimension does not match the state")
-    axes, w = _sphere_grid(sphere_order)
-    _, vectors = _axis_eigh_stack(two_j, axes)
+    axes, w = numerics.sphere_rule(sphere_order)
+    _, vectors = axis_eigh(two_j, axes)
     probs = _probabilities_stack(rho, vectors)
-    a_diag = np.einsum("rnk,nm,rmk->rk", vectors.conj(), a_matrix, vectors).real
-    padded = np.zeros((axes.shape[0], two_j + 3))
-    padded[:, 1:-1] = a_diag
-    sigma = (two_j + 1) * (padded[:, 1:-1] - 0.5 * (padded[:, 2:] + padded[:, :-2]))
+    sigma = _sigma_table(_diagonals(a_matrix, vectors).real)
     return float(np.sum(w * np.sum(probs * sigma, axis=1)))
 
 
 class SpinOperatorKernel:
     """Batch estimator kernel for a fixed spin observable.
 
-    Evaluates the closed-form kernel on sequences of :class:`SpinRecord`;
+    Evaluates the closed-form kernel on a ``SPIN_DTYPE`` record batch;
     pure per record, so shard layout never changes a value.
     """
 
@@ -334,33 +295,21 @@ class SpinOperatorKernel:
         a_matrix = np.asarray(a_matrix, dtype=complex)
         if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
             raise ValueError("operator must be a square matrix")
-        asym = numerics.hermitian_asymmetry(a_matrix)
-        if asym > 1e-12:
-            raise numerics.NonHermitianError(asym, 1e-12)
-        self.a_matrix = a_matrix
+        self.a_matrix = numerics.require_hermitian(a_matrix)
         self.two_j = a_matrix.shape[0] - 1
 
-    def evaluate(self, records: Sequence[SpinRecord]) -> np.ndarray:
-        if not all(isinstance(r, SpinRecord) for r in records):
-            raise TypeError("spin kernel requires SpinRecord inputs")
-        axes = np.array([r.axis for r in records], dtype=float)
-        two_m = np.array([r.two_m for r in records], dtype=int)
-        for tm in np.unique(two_m):
-            _check_two_m(self.two_j, int(tm))
+    def evaluate(self, records: np.ndarray) -> np.ndarray:
+        check_batch(records, SPIN_DTYPE, "spin")
+        two_j, two_m = self.two_j, records["two_m"]
+        valid = (np.abs(two_m) <= two_j) & ((two_m - two_j) % 2 == 0)
+        check_rows([(valid, f"two_m invalid for two_j={two_j}", two_m)])
+        idx = (two_m + two_j) // 2
         out = np.empty(len(records), dtype=complex)
         for start in range(0, len(records), _SAMPLE_CHUNK):
             stop = min(start + _SAMPLE_CHUNK, len(records))
-            _, vectors = _axis_eigh_stack(self.two_j, axes[start:stop])
-            a_diag = np.einsum(
-                "rnk,nm,rmk->rk", vectors.conj(), self.a_matrix, vectors
-            ).real
-            padded = np.zeros((stop - start, self.two_j + 3))
-            padded[:, 1:-1] = a_diag
-            sigma = (self.two_j + 1) * (
-                padded[:, 1:-1] - 0.5 * (padded[:, 2:] + padded[:, :-2])
-            )
-            idx = (two_m[start:stop] + self.two_j) // 2
-            out[start:stop] = sigma[np.arange(stop - start), idx]
+            _, vectors = axis_eigh(two_j, records["axis"][start:stop])
+            sigma = _sigma_table(_diagonals(self.a_matrix, vectors).real)
+            out[start:stop] = np.take_along_axis(sigma, idx[start:stop, None], axis=1)[:, 0]
         return out
 
 
@@ -368,33 +317,40 @@ def spin_operator_kernel(a_matrix: np.ndarray) -> SpinOperatorKernel:
     return SpinOperatorKernel(a_matrix)
 
 
-def write_spin_records(records: Sequence[SpinRecord], path) -> None:
+def write_spin_records(records: np.ndarray, path) -> None:
     """JSONL stream, one {"axis": [nx, ny, nz], "two_m": m} object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            axis = ", ".join(format_float(c) for c in r.axis)
-            fh.write(f'{{"axis": [{axis}], "two_m": {r.two_m}}}\n')
+        for start in range(0, len(records), _SAMPLE_CHUNK):
+            chunk = records[start : start + _SAMPLE_CHUNK]
+            for axis, two_m in zip(chunk["axis"].tolist(), chunk["two_m"].tolist()):
+                axis = ", ".join(format_float(c) for c in axis)
+                fh.write(f'{{"axis": [{axis}], "two_m": {two_m}}}\n')
 
 
-def read_spin_records(path) -> list[SpinRecord]:
-    """Records of a JSONL stream; errors name ``path:line``."""
-    return read_jsonl(
-        path, lambda obj: SpinRecord(axis=tuple(obj["axis"]), two_m=obj["two_m"])
-    )
+def _row_from_json(obj):
+    two_m = obj["two_m"]
+    # a JSON integer only (int() would truncate 1.5 and accept true), and
+    # small enough to pass through a float exactly
+    if type(two_m) is not int or abs(two_m) > 2**53:
+        raise ValueError(f"two_m must be an integer of magnitude at most 2**53, got {two_m!r}")
+    nx, ny, nz = obj["axis"]
+    return float(nx), float(ny), float(nz), two_m
+
+
+def _batch_from_rows(values: np.ndarray) -> np.ndarray:
+    rows = values.reshape(-1, 4)
+    return spin_records(rows[:, :3], rows[:, 3].astype(np.int64))
+
+
+def read_spin_records(path) -> np.ndarray:
+    """Record batch of a JSONL stream; errors name ``path:line``."""
+    return read_jsonl(path, _row_from_json, _batch_from_rows)
 
 
 def save_spin_state(rho: SpinDensityMatrix, path) -> None:
     """JSON state file: {"two_j": N, "rho": [[[re, im], ...], ...]}."""
-    payload = {
-        "two_j": rho.two_j,
-        "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix],
-    }
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    save_state(path, "two_j", rho.two_j, rho.matrix)
 
 
 def load_spin_state(path) -> SpinDensityMatrix:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["rho"]], dtype=complex
-    )
-    return SpinDensityMatrix(int(obj["two_j"]), matrix)
+    return SpinDensityMatrix(*load_state(path, "two_j"))

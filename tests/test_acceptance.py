@@ -230,7 +230,7 @@ def test_criterion_9_determinism(tmp_path):
         ).read_bytes()
     rec_h2 = homodyne.sample_homodyne(rho_h, 10_000, seed=5)
     rec_s2 = spin.sample_spin(rho_s, 10_000, seed=5)
-    files_ok = rec_h2 == rec_h and rec_s2 == rec_s
+    files_ok = np.array_equal(rec_h2, rec_h) and np.array_equal(rec_s2, rec_s)
     _, _, jz = spin.spin_matrices(2)
     worst = 0.0
     for records, kernel in (

@@ -159,7 +159,7 @@ class TestRoundTrip:
         assert cli.main(["simulate-homodyne", "--config", config]) == 0
         records = homodyne.read_homodyne_records(tmp_path / "records.jsonl")
         direct = homodyne.sample_homodyne(homodyne.vacuum_state(8), 64, seed=2)
-        assert records == direct
+        assert np.array_equal(records, direct)
 
 
 class TestKernelExport:
@@ -283,7 +283,7 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
-        assert err["error"]["code"] == "config"
+        assert err["error"]["code"] == "data"
         assert f"{records}:2:" in err["error"]["message"]
         assert "finite" in err["error"]["message"]
 

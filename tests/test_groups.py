@@ -105,6 +105,21 @@ class TestHaarIntegral:
         value = groups.haar_integral_su2(lambda g: abs(u.conj() @ (g @ v)) ** 2, tol=1e-7)
         assert value.real == pytest.approx(8.0 * math.pi**2, rel=1e-6)
 
+    def test_level_matches_pointwise_reference(self):
+        # the per-point loop the stacked level replaced, summed in the same
+        # node order; only the radial summation order differs
+        u = np.array([0.6, 0.8j])
+        f = lambda g: (u.conj() @ g @ u) * g[1, 0] + np.trace(g) ** 2
+        axes, sphere_w = numerics.sphere_rule(16)
+        t, t_w = groups._radial_nodes(2)
+        t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+        want = 0.0 + 0.0j
+        for axis, w_n in zip(axes, sphere_w):
+            acc = sum(w * complex(f(groups.su2_exponential(r, axis))) for r, w in zip(t, t_w))
+            want += w_n * acc
+        got = groups._haar_level(f, 16, 2)
+        assert abs(got - 4.0 * math.pi * want) <= 1e-12 * abs(4.0 * math.pi * want)
+
     def test_exponential_chart_element(self):
         g = groups.su2_exponential(0.0, (0.0, 0.0, 1.0))
         np.testing.assert_allclose(g, np.eye(2), atol=1e-15)
