@@ -38,7 +38,7 @@ print(f"  var y   = {ys.var():.4f}   (|alpha|^2 + 1/2 = {abs(ALPHA) ** 2 + 0.5:.
 print("\nreconstructed matrix elements (row, col): estimate vs truth")
 for row, col in ((0, 0), (1, 1), (2, 2), (1, 0), (2, 0)):
     n, l = col, row - col
-    result = mc.reconstruct(records, homodyne.matrix_element_kernel(n, l))
+    result = mc.reconstruct(records, homodyne.MatrixElementKernel(n, l))
     truth = rho.matrix[row, col]
     mean = result["mean"]
     sigma = max(result["stderr_re"], result["stderr_im"])
@@ -48,7 +48,7 @@ for row, col in ((0, 0), (1, 1), (2, 2), (1, 0), (2, 0)):
     )
 
 # --- photon number from the quadratic estimator --------------------------
-photon = mc.reconstruct(records, homodyne.photon_number_kernel())
+photon = mc.reconstruct(records, homodyne.PhotonNumberKernel())
 print(
     f"\nphoton number: {photon['mean'].real:.4f} +- {photon['stderr_re']:.4f} "
     f"(truth {abs(ALPHA) ** 2:.3f})"

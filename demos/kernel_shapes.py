@@ -21,11 +21,9 @@ OUT_DIR.mkdir(exist_ok=True)
 ys = np.linspace(-4.0, 4.0, 81)
 for n, l in ((0, 0), (1, 0), (0, 1)):
     rows = ["grid_point,kernel_re,kernel_im"]
-    for y in ys:
-        value = homodyne.kernel_matrix_element(n, l, float(y))
-        rows.append(
-            ",".join(format_float(v) for v in (y, value.real, value.imag))
-        )
+    values = homodyne.kernel_matrix_element(n, l, ys)
+    for row in zip(ys, values.real, values.imag):
+        rows.append(",".join(format_float(v) for v in row))
     path = OUT_DIR / f"kernel_n{n}_l{l}.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {path.name} ({len(ys)} points)")

@@ -34,7 +34,7 @@ for two_m in range(-TWO_J, TWO_J + 1, 2):
 
 # --- Monte Carlo with growing record counts -------------------------------
 records = spin.sample_spin(rho, 100_000, seed=SEED)
-kernel = spin.spin_operator_kernel(jz)
+kernel = spin.SpinOperatorKernel(jz)
 truth = float(np.trace(jz @ rho.matrix).real)
 print(f"\nMonte Carlo <Jz> vs records (truth {truth:+.5f}):")
 print(f"  {'count':>7} {'estimate':>10} {'stderr':>8} {'pull':>6}")

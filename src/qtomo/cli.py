@@ -139,15 +139,15 @@ def _run_reconstruct(cfg: dict) -> int:
     if kind in ("matrix-element", "photon-number"):
         records = homodyne.read_homodyne_records(records_path)
         if kind == "matrix-element":
-            kernel = homodyne.matrix_element_kernel(
+            kernel = homodyne.MatrixElementKernel(
                 int(_require(target, "n", int)), int(_require(target, "l", int)),
                 cfg.get("cutoff"),
             )
         else:
-            kernel = homodyne.photon_number_kernel()
+            kernel = homodyne.PhotonNumberKernel()
     else:
         records = spin.read_spin_records(records_path)
-        kernel = spin.spin_operator_kernel(_spin_target_operator(cfg, target))
+        kernel = spin.SpinOperatorKernel(_spin_target_operator(cfg, target))
     result = mc.reconstruct(records, kernel)
     payload = {
         "observable": _observable_id(target),
@@ -177,9 +177,8 @@ def _run_kernel_export(cfg: dict) -> int:
     if kind == "matrix-element":
         n = int(_require(target, "n", int))
         l = int(_require(target, "l", int))
-        for x in xs:
-            value = homodyne.kernel_matrix_element(n, l, float(x), cfg.get("cutoff"))
-            rows.append((x, value.real, value.imag))
+        values = homodyne.kernel_matrix_element(n, l, xs, cfg.get("cutoff"))
+        rows.extend(zip(xs, values.real, values.imag))
     elif kind == "photon-number":
         for x in xs:
             rows.append((x, x * x - 0.5, 0.0))

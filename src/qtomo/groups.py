@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureError, sphere_rule
+from .numerics import QuadratureError, panel_rule, sphere_rule
 from .spin import axis_eigh
 
 __all__ = [
@@ -116,19 +116,9 @@ def su2_exponential(t: float, axis) -> np.ndarray:
     return math.cos(t / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(t / 2.0) * n_sigma
 
 
-def _radial_nodes(n_panels: int):
-    glx, glw = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    w = (half[:, None] * glw[None, :]).ravel()
-    return t, w
-
-
 def _haar_level(f: Callable[[np.ndarray], complex], sphere_order: int, radial_panels: int) -> complex:
     axes, sphere_w = sphere_rule(sphere_order)
-    t, t_w = _radial_nodes(radial_panels)
+    t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
     cos_half = np.cos(t / 2.0)[:, None, None]
     i_sin_half = 1j * np.sin(t / 2.0)[:, None, None]
@@ -168,7 +158,7 @@ def _ortho_level(
     radial_panels: int,
 ) -> complex:
     axes, sphere_w = sphere_rule(sphere_order)
-    t, t_w = _radial_nodes(radial_panels)
+    t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     phases = np.exp(1j * np.outer(t, m_values))  # (t, m)

@@ -35,12 +35,9 @@ __all__ = [
     "sample_homodyne",
     "default_kernel_cutoff",
     "kernel_matrix_element",
-    "estimator_matrix_element",
     "estimator_photon_number",
     "MatrixElementKernel",
     "PhotonNumberKernel",
-    "matrix_element_kernel",
-    "photon_number_kernel",
     "write_homodyne_records",
     "read_homodyne_records",
     "save_homodyne_state",
@@ -57,7 +54,6 @@ CDF_TOL = 1e-4
 
 _BASE_INTERVALS = 2048
 _SAMPLE_CHUNK = 8192
-_KERNEL_CHUNK = 4096
 _MAX_GRID_DOUBLINGS = 4
 
 # one quorum draw: phase phi in [0, 2 pi) and outcome y of Y_phi
@@ -304,13 +300,18 @@ def _kernel_envelope(n: int, l: int, t: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix_element(
-    n: int, l: int, y: float, cutoff: float | None = None, tol: float = 1e-10
-) -> complex:
+    n: int, l: int, y: float | np.ndarray, cutoff: float | None = None, tol: float = 1e-10
+) -> complex | np.ndarray:
     """Phase-free kernel factor K_{n,l}(y) of the matrix-element estimator.
 
     The full estimator for the element (n+l, n) is e^{i l phi} K_{n,l}(y);
     the t-integral is truncated at ``cutoff``, beyond which the Gaussian
-    envelope makes further contributions below 1e-10.
+    envelope makes further contributions below 1e-10.  ``y`` is a scalar
+    (complex result) or a 1-d array of outcomes (one value each), integrated
+    by :func:`numerics.integrate_oscillatory` on its one refinement ladder.
+    Outcomes that share a panel count refine together until all settle, so
+    a value from an array call can differ, within ``tol``, from the value of
+    a one-at-a-time call.
     """
     if n < 0 or l < 0:
         raise ValueError("kernel indices must satisfy n >= 0, l >= 0")
@@ -322,65 +323,6 @@ def kernel_matrix_element(
         lambda t: _kernel_envelope(n, l, t), y, cutoff, tol
     )
     return _kernel_prefactor(n, l) * integral
-
-
-def _kernel_values_batch(
-    n: int, l: int, ys: np.ndarray, cutoff: float, tol: float
-) -> np.ndarray:
-    """Vectorized K_{n,l} over outcomes, same refinement ladder as the scalar path."""
-    out = np.empty(ys.size, dtype=complex)
-    pref = _kernel_prefactor(n, l)
-    for start in range(0, ys.size, _KERNEL_CHUNK):
-        chunk = ys[start : start + _KERNEL_CHUNK]
-        panel_counts = np.array(
-            [numerics.oscillatory_panel_count(v, cutoff) for v in chunk]
-        )
-        vals = np.empty(chunk.size, dtype=complex)
-        for p in np.unique(panel_counts):
-            sel = np.nonzero(panel_counts == p)[0]
-            y_sel = chunk[sel]
-            prev = _kernel_panel_sum(n, l, y_sel, cutoff, int(p))
-            panels = int(p)
-            for _ in range(numerics._MAX_DOUBLINGS):
-                panels *= 2
-                cur = _kernel_panel_sum(n, l, y_sel, cutoff, panels)
-                ok = (np.abs(cur.real - prev.real) <= tol) & (
-                    np.abs(cur.imag - prev.imag) <= tol
-                )
-                if np.all(ok):
-                    break
-                prev = cur
-            else:
-                raise numerics.QuadratureError((prev, cur), tol)
-            vals[sel] = cur
-        out[start : start + _KERNEL_CHUNK] = vals
-    return pref * out
-
-
-def _kernel_panel_sum(n: int, l: int, ys: np.ndarray, cutoff: float, panels: int):
-    glx, glw = numerics._GL_NODES, numerics._GL_WEIGHTS
-    edges = np.linspace(0.0, cutoff, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    weights = (half[:, None] * glw[None, :]).ravel()
-    weighted = weights * _kernel_envelope(n, l, nodes)
-    return np.exp(1j * np.outer(ys, nodes)) @ weighted
-
-
-def estimator_matrix_element(n: int, l: int, record, cutoff: float | None = None) -> complex:
-    """Estimator value for the density-matrix element rho_{n+l, n} at one record.
-
-    For l >= 0 this is e^{i l phi} K_{n,l}(y); negative l is obtained from
-    the Hermitian-symmetric element by conjugation.
-    """
-    if n < 0 or n + l < 0:
-        raise ValueError("indices must satisfy n >= 0 and n + l >= 0")
-    if l >= 0:
-        return np.exp(1j * l * record["phi"]) * kernel_matrix_element(
-            n, l, float(record["y"]), cutoff
-        )
-    return complex(np.conj(estimator_matrix_element(n + l, -l, record, cutoff)))
 
 
 def estimator_photon_number(records):
@@ -403,7 +345,7 @@ class MatrixElementKernel:
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, HOMODYNE_DTYPE, "homodyne")
         base_n, base_l = self._base
-        values = np.exp(1j * base_l * records["phi"]) * _kernel_values_batch(
+        values = np.exp(1j * base_l * records["phi"]) * kernel_matrix_element(
             base_n, base_l, records["y"], self._cutoff, self._tol
         )
         return values if self.l >= 0 else values.conj()
@@ -415,14 +357,6 @@ class PhotonNumberKernel:
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, HOMODYNE_DTYPE, "homodyne")
         return estimator_photon_number(records).astype(complex)
-
-
-def matrix_element_kernel(n: int, l: int, cutoff: float | None = None) -> MatrixElementKernel:
-    return MatrixElementKernel(n, l, cutoff)
-
-
-def photon_number_kernel() -> PhotonNumberKernel:
-    return PhotonNumberKernel()
 
 
 def write_homodyne_records(records: np.ndarray, path, convention: str = "Y") -> None:

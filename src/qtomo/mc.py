@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonio import check_rows
+
 __all__ = [
     "RunningEstimate",
     "moments",
@@ -86,13 +88,17 @@ def reconstruct(records, kernel, shards: int = 1) -> dict:
 
     The values are split into ``shards`` contiguous parts, each reduced by
     :func:`moments` and combined with :func:`merge`; the result is identical
-    (to roundoff) for any shard count.
+    (to roundoff) for any shard count.  A kernel value that is not finite
+    (an outcome so large that its estimator overflows) raises RecordError
+    naming the first such record.
     """
     if len(records) == 0:
         raise ValueError("cannot reconstruct from an empty record stream")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    values = np.asarray(kernel.evaluate(records), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(kernel.evaluate(records), dtype=complex)
+    check_rows([(np.isfinite(values), "estimator value is not finite", values)])
     acc = RunningEstimate()
     for part in np.array_split(values, min(shards, len(records))):
         acc = merge(acc, moments(part))

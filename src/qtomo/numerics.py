@@ -25,6 +25,7 @@ __all__ = [
     "oscillator_eigenfunctions",
     "integrate_real",
     "integrate_oscillatory",
+    "panel_rule",
     "sphere_rule",
 ]
 
@@ -36,6 +37,9 @@ HERMITIAN_TOL = 1e-12
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _MAX_DOUBLINGS = 14
+# frequencies per block of an array call to integrate_oscillatory; bounds
+# the (frequencies x nodes) phase matrix
+_OSCILLATORY_CHUNK = 4096
 
 
 class NonHermitianError(ValueError):
@@ -176,13 +180,31 @@ def oscillator_eigenfunction(n: int, x):
     return vals if np.ndim(x) else float(vals[0])
 
 
-def _panel_sum(f: Callable, a: float, b: float, n_panels: int):
+def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
+    ``n_panels`` equal panels of [a, b], panel by panel."""
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return np.sum(weights * np.asarray(f(nodes)))
+    return nodes, weights
+
+
+def _refine(estimate: Callable[[int], np.ndarray], n_panels: int, tol: float):
+    """The refinement ladder: double the panel count until two successive
+    ``estimate(n_panels)`` agree within ``tol`` in the real and the imaginary
+    part of every component."""
+    prev = estimate(n_panels)
+    for _ in range(_MAX_DOUBLINGS):
+        n_panels *= 2
+        cur = estimate(n_panels)
+        if np.all(np.abs(cur.real - prev.real) <= tol) and np.all(
+            np.abs(cur.imag - prev.imag) <= tol
+        ):
+            return cur
+        prev = cur
+    raise QuadratureError((prev, cur), tol)
 
 
 def integrate_real(
@@ -197,50 +219,65 @@ def integrate_real(
     Panel count doubles until two successive refinement levels agree within
     ``tol`` (absolute); ``f`` must accept an ndarray of nodes.
     """
-    n_panels = max(1, min_panels)
-    prev = _panel_sum(f, a, b, n_panels)
-    for _ in range(_MAX_DOUBLINGS):
-        n_panels *= 2
-        cur = _panel_sum(f, a, b, n_panels)
-        if abs(cur - prev) <= tol:
-            return float(np.real(cur))
-        prev = cur
-    raise QuadratureError((complex(prev), complex(cur)), tol)
+
+    def estimate(n_panels):
+        nodes, weights = panel_rule(a, b, n_panels)
+        return np.sum(weights * np.asarray(f(nodes)))
+
+    return float(np.real(_refine(estimate, max(1, min_panels), tol)))
 
 
-def oscillatory_panel_count(frequency: float, cutoff: float) -> int:
-    """Smallest panel count keeping panel width <= pi / (2 (|frequency| + 1))."""
-    width_cap = np.pi / (2.0 * (abs(frequency) + 1.0))
-    return max(1, int(np.ceil(cutoff / width_cap)))
+def oscillatory_panel_count(frequency: float | np.ndarray, cutoff: float):
+    """Smallest panel count keeping panel width <= pi / (2 (|frequency| + 1)),
+    elementwise over an array of frequencies.
+
+    The counts stay integer-valued floats: a cast to a fixed-width integer
+    would wrap for a huge frequency instead of failing on its size.
+    """
+    width_cap = np.pi / (2.0 * (np.abs(frequency) + 1.0))
+    return np.maximum(1.0, np.ceil(cutoff / width_cap))
 
 
 def integrate_oscillatory(
     g: Callable[[np.ndarray], np.ndarray],
-    frequency: float,
+    frequency: float | np.ndarray,
     cutoff: float,
     tol: float = 1e-10,
-) -> complex:
+) -> complex | np.ndarray:
     """Integral of e^{i frequency t} g(t) over [0, cutoff].
 
-    The initial panel width resolves the oscillation of the phase factor;
-    refinement then proceeds exactly as in :func:`integrate_real`, with the
-    real and imaginary parts each required to settle within ``tol``.
+    ``frequency`` is a scalar (complex result) or a 1-d array (one complex
+    value per frequency).  The initial panel width resolves the oscillation
+    of the phase factor.  An array is split into contiguous blocks of 4096
+    frequencies and each block is grouped by initial panel count;
+    every group then climbs the same doubling ladder as
+    :func:`integrate_real`, with the real and imaginary parts of each member
+    required to settle within ``tol``.  A group doubles until all of its
+    members settle, so a value from an array call can differ, within
+    ``tol``, from the value of a one-at-a-time call.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
+    freqs = np.asarray(frequency, dtype=float)
+    if freqs.ndim > 1:
+        raise ValueError("frequency must be a scalar or a 1-d array")
+    flat = freqs.reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("frequencies must be finite")
+    out = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, _OSCILLATORY_CHUNK):
+        chunk = flat[start : start + _OSCILLATORY_CHUNK]
+        counts = oscillatory_panel_count(chunk, cutoff)
+        for p in np.unique(counts):
+            sel = np.nonzero(counts == p)[0]
+            group = chunk[sel]
 
-    def integrand(t):
-        return np.asarray(g(t)) * np.exp(1j * frequency * t)
+            def estimate(n_panels):
+                nodes, weights = panel_rule(0.0, cutoff, n_panels)
+                return np.exp(1j * np.outer(group, nodes)) @ (weights * g(nodes))
 
-    n_panels = oscillatory_panel_count(frequency, cutoff)
-    prev = _panel_sum(integrand, 0.0, cutoff, n_panels)
-    for _ in range(_MAX_DOUBLINGS):
-        n_panels *= 2
-        cur = _panel_sum(integrand, 0.0, cutoff, n_panels)
-        if abs(cur.real - prev.real) <= tol and abs(cur.imag - prev.imag) <= tol:
-            return complex(cur)
-        prev = cur
-    raise QuadratureError((complex(prev), complex(cur)), tol)
+            out[start + sel] = _refine(estimate, int(p), tol)
+    return out if freqs.ndim else complex(out[0])
 
 
 def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

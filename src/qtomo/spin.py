@@ -30,7 +30,6 @@ __all__ = [
     "kernel_spin_numeric",
     "exact_reconstruction",
     "SpinOperatorKernel",
-    "spin_operator_kernel",
     "write_spin_records",
     "read_spin_records",
     "save_spin_state",
@@ -73,7 +72,8 @@ def _check_axis(axis) -> np.ndarray:
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
     norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > AXIS_NORM_TOL:
+    # written so that a NaN norm fails too
+    if not (abs(norm - 1.0) <= AXIS_NORM_TOL):
         raise ValueError(f"axis must be unit length, got norm {norm!r}")
     return axis
 
@@ -311,10 +311,6 @@ class SpinOperatorKernel:
             sigma = _sigma_table(_diagonals(self.a_matrix, vectors).real)
             out[start:stop] = np.take_along_axis(sigma, idx[start:stop, None], axis=1)[:, 0]
         return out
-
-
-def spin_operator_kernel(a_matrix: np.ndarray) -> SpinOperatorKernel:
-    return SpinOperatorKernel(a_matrix)
 
 
 def write_spin_records(records: np.ndarray, path) -> None:

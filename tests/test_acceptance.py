@@ -167,8 +167,8 @@ def test_criterion_7_homodyne_monte_carlo():
     start = time.perf_counter()
     rho = homodyne.coherent_state(1.0, 24)
     records = homodyne.sample_homodyne(rho, 200_000, seed=SEED_HOMODYNE)
-    element = mc.reconstruct(records, homodyne.matrix_element_kernel(0, 0))
-    photon = mc.reconstruct(records, homodyne.photon_number_kernel())
+    element = mc.reconstruct(records, homodyne.MatrixElementKernel(0, 0))
+    photon = mc.reconstruct(records, homodyne.PhotonNumberKernel())
     elapsed = time.perf_counter() - start
     gap_el = abs(element["mean"].real - TRUE_RHO00)
     gap_ph = abs(photon["mean"].real - 1.0)
@@ -196,7 +196,7 @@ def test_criterion_8_spin_monte_carlo_and_error_scaling():
     _, _, jz = spin.spin_matrices(2)
     truth = float(np.trace(jz @ rho.matrix).real)
     records = spin.sample_spin(rho, 100_000, seed=SEED_SPIN)
-    kernel = spin.spin_operator_kernel(jz)
+    kernel = spin.SpinOperatorKernel(jz)
     full = mc.reconstruct(records, kernel)
     gap = abs(full["mean"].real - truth)
     counts = [1_000, 3_162, 10_000, 31_623, 100_000]
@@ -234,8 +234,8 @@ def test_criterion_9_determinism(tmp_path):
     _, _, jz = spin.spin_matrices(2)
     worst = 0.0
     for records, kernel in (
-        (rec_h, homodyne.matrix_element_kernel(0, 0)),
-        (rec_s, spin.spin_operator_kernel(jz)),
+        (rec_h, homodyne.MatrixElementKernel(0, 0)),
+        (rec_s, spin.SpinOperatorKernel(jz)),
     ):
         ref = mc.reconstruct(records, kernel, shards=1)
         for shards in (2, 4, 8):
@@ -261,7 +261,7 @@ def test_criterion_10_coverage_calibration():
     rho = spin.SpinDensityMatrix(1, np.outer(amp, amp.conj()))
     _, _, jz = spin.spin_matrices(1)
     truth = float(np.trace(jz @ rho.matrix).real)
-    kernel = spin.spin_operator_kernel(jz)
+    kernel = spin.SpinOperatorKernel(jz)
     hits = 0
     for seed in range(200):
         result = mc.reconstruct(spin.sample_spin(rho, 10_000, seed=seed), kernel)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,24 @@ class TestErrors:
         assert err["error"]["code"] == "data"
         assert f"{records}:2:" in err["error"]["message"]
         assert "finite" in err["error"]["message"]
+
+    def test_overflowing_estimator_is_a_data_error(self, tmp_path, capfd):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "x": 1.0}\n{"phi": 1.0, "x": 1e308}\n')
+        config = write_config(
+            tmp_path,
+            "rec.json",
+            {"records_path": str(records), "target": {"type": "photon-number"}},
+        )
+        with warnings.catch_warnings():
+            # a numpy overflow warning would be one more line on stderr
+            warnings.simplefilter("error")
+            assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["code"] == "data"
+        assert err["error"]["message"].startswith("record 1: estimator value is not finite")
 
 
 class TestJsonSerializer:

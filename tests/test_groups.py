@@ -111,7 +111,7 @@ class TestHaarIntegral:
         u = np.array([0.6, 0.8j])
         f = lambda g: (u.conj() @ g @ u) * g[1, 0] + np.trace(g) ** 2
         axes, sphere_w = numerics.sphere_rule(16)
-        t, t_w = groups._radial_nodes(2)
+        t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = 0.0 + 0.0j
         for axis, w_n in zip(axes, sphere_w):

@@ -373,8 +373,10 @@ class TestKernel:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(33)
         ys = rng.uniform(-6.0, 6.0, size=40)
-        cutoff = homodyne.default_kernel_cutoff(2, 1)
-        batch = homodyne._kernel_values_batch(2, 1, ys, cutoff, 1e-10)
+        # phi = 0 makes the phase factor exactly 1
+        batch = homodyne.MatrixElementKernel(2, 1).evaluate(
+            homodyne.homodyne_records(np.zeros(ys.size), ys)
+        )
         for y, value in zip(ys, batch):
             scalar = homodyne.kernel_matrix_element(2, 1, float(y))
             assert value == pytest.approx(scalar, abs=1e-12)
@@ -382,25 +384,24 @@ class TestKernel:
 
 class TestEstimators:
     def test_phase_independence_at_l0(self):
-        rec1 = homodyne.homodyne_records([0.3], [1.1])[0]
-        rec2 = homodyne.homodyne_records([5.9], [1.1])[0]
-        a = homodyne.estimator_matrix_element(2, 0, rec1)
-        b = homodyne.estimator_matrix_element(2, 0, rec2)
+        rec1 = homodyne.homodyne_records([0.3], [1.1])
+        rec2 = homodyne.homodyne_records([5.9], [1.1])
+        a = homodyne.MatrixElementKernel(2, 0).evaluate(rec1)[0]
+        b = homodyne.MatrixElementKernel(2, 0).evaluate(rec2)[0]
         assert a == b
 
     def test_hermitian_symmetry_exact(self):
         # the l = 0 estimator maps to itself; its value stays complex with a
         # real mean, so the pointwise involution is exact for l != 0
-        record = homodyne.homodyne_records([1.7], [-0.6])[0]
+        record = homodyne.homodyne_records([1.7], [-0.6])
         for n, l in ((0, 1), (1, 2), (0, 3), (2, 2)):
-            direct = homodyne.estimator_matrix_element(n, l, record)
-            mirrored = homodyne.estimator_matrix_element(n + l, -l, record)
+            direct = homodyne.MatrixElementKernel(n, l).evaluate(record)[0]
+            mirrored = homodyne.MatrixElementKernel(n + l, -l).evaluate(record)[0]
             assert direct == np.conj(mirrored)
 
     def test_rejects_negative_row(self):
-        record = homodyne.homodyne_records([0.0], [0.0])[0]
         with pytest.raises(ValueError):
-            homodyne.estimator_matrix_element(0, -1, record)
+            homodyne.MatrixElementKernel(0, -1)
 
     def test_photon_number_values(self):
         assert homodyne.estimator_photon_number(homodyne.homodyne_records([0.0], [0.0])[0]) == -0.5
@@ -409,15 +410,15 @@ class TestEstimators:
     def test_vacuum_monte_carlo_diagonal(self):
         rho = homodyne.vacuum_state(8)
         records = homodyne.sample_homodyne(rho, 30_000, seed=77)
-        result = mc.reconstruct(records, homodyne.matrix_element_kernel(0, 0))
+        result = mc.reconstruct(records, homodyne.MatrixElementKernel(0, 0))
         assert abs(result["mean"].real - 1.0) <= 4.0 * result["stderr_re"]
-        result = mc.reconstruct(records, homodyne.matrix_element_kernel(1, 0))
+        result = mc.reconstruct(records, homodyne.MatrixElementKernel(1, 0))
         assert abs(result["mean"].real) <= 4.0 * result["stderr_re"]
 
     def test_vacuum_monte_carlo_photon_number(self):
         rho = homodyne.vacuum_state(8)
         records = homodyne.sample_homodyne(rho, 30_000, seed=78)
-        result = mc.reconstruct(records, homodyne.photon_number_kernel())
+        result = mc.reconstruct(records, homodyne.PhotonNumberKernel())
         assert abs(result["mean"].real) <= 4.0 * result["stderr_re"]
 
     def test_complex_coherent_off_diagonal(self):
@@ -425,7 +426,7 @@ class TestEstimators:
         alpha = 0.8 * np.exp(1j * np.pi / 5.0)
         rho = homodyne.coherent_state(alpha, 16)
         records = homodyne.sample_homodyne(rho, 40_000, seed=99)
-        result = mc.reconstruct(records, homodyne.matrix_element_kernel(0, 1))
+        result = mc.reconstruct(records, homodyne.MatrixElementKernel(0, 1))
         truth = rho.matrix[1, 0]
         assert abs(result["mean"].real - truth.real) <= 4.0 * result["stderr_re"]
         assert abs(result["mean"].imag - truth.imag) <= 4.0 * result["stderr_im"]
@@ -433,7 +434,7 @@ class TestEstimators:
     def test_kernel_type_mismatch(self):
         from qtomo.spin import spin_records
 
-        kernel = homodyne.matrix_element_kernel(0, 0)
+        kernel = homodyne.MatrixElementKernel(0, 0)
         with pytest.raises(TypeError, match="homodyne record"):
             kernel.evaluate(spin_records([(0.0, 0.0, 1.0)], [1]))
 

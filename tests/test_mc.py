@@ -98,7 +98,7 @@ class TestReconstruct:
     def test_spin_identity_kernel_is_constant_one(self):
         rho = spin.maximally_mixed(1)
         records = spin.sample_spin(rho, 2000, seed=6)
-        result = mc.reconstruct(records, spin.spin_operator_kernel(np.eye(2, dtype=complex)))
+        result = mc.reconstruct(records, spin.SpinOperatorKernel(np.eye(2, dtype=complex)))
         # sigma(I) = 1 at both outcomes for spin 1/2, so the mean is exact
         assert result["mean"].real == pytest.approx(1.0, abs=1e-12)
         assert result["stderr_re"] == pytest.approx(0.0, abs=1e-12)
@@ -106,12 +106,12 @@ class TestReconstruct:
     def test_homodyne_vacuum_photon_number(self):
         rho = homodyne.vacuum_state(8)
         records = homodyne.sample_homodyne(rho, 20_000, seed=13)
-        result = mc.reconstruct(records, homodyne.photon_number_kernel())
+        result = mc.reconstruct(records, homodyne.PhotonNumberKernel())
         assert abs(result["mean"].real) <= 4.0 * result["stderr_re"]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mc.reconstruct([], homodyne.photon_number_kernel())
+            mc.reconstruct([], homodyne.PhotonNumberKernel())
 
     def test_shard_count_independence(self):
         rng = np.random.default_rng(110)
@@ -120,7 +120,7 @@ class TestReconstruct:
         rho = spin.SpinDensityMatrix(2, m / np.trace(m).real)
         _, _, jz = spin.spin_matrices(2)
         records = spin.sample_spin(rho, 5000, seed=17)
-        kernel = spin.spin_operator_kernel(jz)
+        kernel = spin.SpinOperatorKernel(jz)
         ref = mc.reconstruct(records, kernel, shards=1)
         for shards in (2, 4, 8):
             out = mc.reconstruct(records, kernel, shards=shards)
@@ -130,4 +130,4 @@ class TestReconstruct:
     def test_kernel_record_mismatch(self):
         records = spin.sample_spin(spin.maximally_mixed(1), 10, seed=1)
         with pytest.raises(TypeError):
-            mc.reconstruct(records, homodyne.photon_number_kernel())
+            mc.reconstruct(records, homodyne.PhotonNumberKernel())

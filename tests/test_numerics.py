@@ -182,7 +182,56 @@ class TestIntegrateReal:
         assert len(err.value.estimates) == 2
 
 
+def reference_oscillatory(g, frequency, cutoff, tol=1e-10):
+    """One frequency at a time: the scalar panel sum and doubling loop that
+    the array-valued integrate_oscillatory replaced."""
+    nodes_16, weights_16 = np.polynomial.legendre.leggauss(16)
+
+    def panel_sum(f, a, b, n_panels):
+        edges = np.linspace(a, b, n_panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * nodes_16[None, :]).ravel()
+        weights = (half[:, None] * weights_16[None, :]).ravel()
+        return np.sum(weights * np.asarray(f(nodes)))
+
+    def integrand(t):
+        return np.asarray(g(t)) * np.exp(1j * frequency * t)
+
+    width_cap = np.pi / (2.0 * (abs(frequency) + 1.0))
+    n_panels = max(1, int(np.ceil(cutoff / width_cap)))
+    prev = panel_sum(integrand, 0.0, cutoff, n_panels)
+    for _ in range(14):
+        n_panels *= 2
+        cur = panel_sum(integrand, 0.0, cutoff, n_panels)
+        if abs(cur.real - prev.real) <= tol and abs(cur.imag - prev.imag) <= tol:
+            return complex(cur)
+        prev = cur
+    raise AssertionError("reference ladder did not converge")
+
+
 class TestIntegrateOscillatory:
+    def test_array_matches_scalar_reference(self):
+        g = lambda t: t * t * np.exp(-t * t / 4.0) * np.cos(0.3 * t)
+        freqs = np.array([0.0, 1.0, -3.7, 25.0, 40.0])
+        got = numerics.integrate_oscillatory(g, freqs, 20.0)
+        assert got.shape == freqs.shape
+        for freq, value in zip(freqs, got):
+            want = reference_oscillatory(g, float(freq), 20.0)
+            assert abs(value - want) <= 1e-12
+            assert abs(numerics.integrate_oscillatory(g, float(freq), 20.0) - want) <= 1e-12
+
+    def test_array_refinement_cap_reports_estimates(self):
+        with pytest.raises(numerics.QuadratureError) as err:
+            numerics.integrate_oscillatory(
+                lambda t: np.sin(1e7 * t) ** 2, np.array([0.0, 2.0, 9.0]), 1.0, tol=0.0
+            )
+        assert len(err.value.estimates) == 2
+
+    def test_rejects_non_finite_frequency(self):
+        with pytest.raises(ValueError, match="finite"):
+            numerics.integrate_oscillatory(lambda t: np.ones_like(t), np.array([0.0, np.nan]), 1.0)
+
     def test_constant_zero_frequency(self):
         val = numerics.integrate_oscillatory(lambda t: np.ones_like(t), 0.0, 1.0)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)

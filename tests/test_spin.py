@@ -90,6 +90,15 @@ class TestAxisOperator:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError, match="unit"):
             spin.axis_operator(1, (1.0, 1.0, 0.0))
+        nan_axis = (math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError, match="unit"):
+            spin.axis_operator(1, nan_axis)
+        with pytest.raises(ValueError, match="unit"):
+            spin.spin_probabilities(spin.maximally_mixed(1), nan_axis)
+        with pytest.raises(ValueError, match="unit"):
+            spin.kernel_spin_closed(np.eye(2), nan_axis, 1)
+        with pytest.raises(ValueError, match="unit"):
+            spin.kernel_spin_numeric(np.eye(2), nan_axis, 1)
 
 
 class TestDensityMatrix:
@@ -305,7 +314,7 @@ class TestBatchKernel:
         rho = random_state(rng, 2)
         _, _, jz = spin.spin_matrices(2)
         records = spin.sample_spin(rho, 64, seed=12)
-        kernel = spin.spin_operator_kernel(jz)
+        kernel = spin.SpinOperatorKernel(jz)
         batch = kernel.evaluate(records)
         for r, value in zip(records, batch):
             scalar = spin.kernel_spin_closed(jz, r["axis"], r["two_m"])
@@ -315,7 +324,7 @@ class TestBatchKernel:
     def test_rejects_foreign_records(self):
         from qtomo.homodyne import homodyne_records
 
-        kernel = spin.spin_operator_kernel(np.eye(2, dtype=complex))
+        kernel = spin.SpinOperatorKernel(np.eye(2, dtype=complex))
         with pytest.raises(TypeError, match="spin record"):
             kernel.evaluate(homodyne_records([0.0], [0.0]))
 
