@@ -286,17 +286,19 @@ def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> np.ndarray
 
 
 def default_kernel_cutoff(n: int, l: int) -> float:
-    """Upper limit of the kernel integral; past it the envelope is below 1e-10."""
-    return 12.0 + 2.0 * math.sqrt(n + l)
+    """Upper limit of the kernel integral and half-width of the kernel table.
 
-
-def _kernel_prefactor(n: int, l: int) -> complex:
-    log_ratio = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + l + 1))
-    return (-1j) ** l * 2.0 ** (-l / 2.0) * math.exp(log_ratio)
+    It lies at least 6 past the turning point t = sqrt(8n + 4l + 4) of the
+    normalized envelope, and never below 12 + 2 sqrt(n + l); beyond it the
+    envelope stays below 1e-10 for every n + l <= 200.
+    """
+    return max(12.0 + 2.0 * math.sqrt(n + l), math.sqrt(8.0 * n + 4.0 * l + 4.0) + 6.0)
 
 
 def _kernel_envelope(n: int, l: int, t: np.ndarray) -> np.ndarray:
-    return t ** (l + 1) * numerics.laguerre(n, l, t * t / 2.0) * np.exp(-t * t / 4.0)
+    """sqrt(n!/(n+l)!) 2^(-l/2) t^(l+1) L^l_n(t^2/2) e^(-t^2/4), the normalized
+    envelope: t times a normalized Laguerre function, so it stays O(t)."""
+    return t * numerics.laguerre_function(n, l, t * t / 2.0)
 
 
 def kernel_matrix_element(
@@ -304,14 +306,19 @@ def kernel_matrix_element(
 ) -> complex | np.ndarray:
     """Phase-free kernel factor K_{n,l}(y) of the matrix-element estimator.
 
-    The full estimator for the element (n+l, n) is e^{i l phi} K_{n,l}(y);
-    the t-integral is truncated at ``cutoff``, beyond which the Gaussian
-    envelope makes further contributions below 1e-10.  ``y`` is a scalar
-    (complex result) or a 1-d array of outcomes (one value each), integrated
-    by :func:`numerics.integrate_oscillatory` on its one refinement ladder.
+    The full estimator for the element (n+l, n) is e^{i l phi} K_{n,l}(y),
+    with K_{n,l}(y) = (-i)^l times the integral of e^{i y t} times the
+    normalized envelope over [0, ``cutoff``]; the envelope carries the
+    factor sqrt(n!/(n+l)!) 2^(-l/2), so ``tol`` bounds the error of K itself
+    for every n + l <= 200.  Past :func:`default_kernel_cutoff` the envelope
+    is below 1e-10.  ``y`` is a scalar (complex result) or a 1-d array of
+    outcomes (one value each), integrated by
+    :func:`numerics.integrate_oscillatory` on its one refinement ladder.
     Outcomes that share a panel count refine together until all settle, so
     a value from an array call can differ, within ``tol``, from the value of
-    a one-at-a-time call.
+    a one-at-a-time call.  This quadrature is the oracle of the Chebyshev
+    table that :class:`MatrixElementKernel` builds, and its evaluator past
+    the table.
     """
     if n < 0 or l < 0:
         raise ValueError("kernel indices must satisfy n >= 0, l >= 0")
@@ -322,7 +329,7 @@ def kernel_matrix_element(
     integral = numerics.integrate_oscillatory(
         lambda t: _kernel_envelope(n, l, t), y, cutoff, tol
     )
-    return _kernel_prefactor(n, l) * integral
+    return (-1j) ** (l % 4) * integral
 
 
 def estimator_photon_number(records):
@@ -331,7 +338,19 @@ def estimator_photon_number(records):
 
 
 class MatrixElementKernel:
-    """Batch estimator kernel for one density-matrix element (n+l, n)."""
+    """Batch estimator kernel for one density-matrix element (n+l, n).
+
+    The element (n, l) with l < 0 is the conjugate of (n+l, -l), so both
+    evaluate K of the base pair (n, |l|).  On the first :meth:`evaluate`
+    that needs it, the kernel tabulates K once on [-Y, Y], Y =
+    :func:`default_kernel_cutoff`, as a Chebyshev interpolant built by
+    :func:`numerics.chebyshev_fit` from :func:`kernel_matrix_element`
+    values: its degree doubles from 16 until it matches the quadrature
+    within ``tol`` at the new points of the next level.  Every outcome with
+    |y| <= Y takes its value from the table, a pure function of (n, l, y);
+    only outcomes past Y go through the quadrature, where a batch value can
+    differ within ``tol`` from the same outcome evaluated alone.
+    """
 
     def __init__(self, n: int, l: int, cutoff: float | None = None, tol: float = 1e-10):
         if n < 0 or n + l < 0:
@@ -339,15 +358,35 @@ class MatrixElementKernel:
         self.n, self.l = n, l
         base_n, base_l = (n, l) if l >= 0 else (n + l, -l)
         self._base = (base_n, base_l)
-        self._cutoff = cutoff if cutoff is not None else default_kernel_cutoff(base_n, base_l)
+        self._y_max = default_kernel_cutoff(base_n, base_l)
+        self._cutoff = cutoff if cutoff is not None else self._y_max
         self._tol = tol
+        self._table = None
+
+    def _kernel_values(self, y: np.ndarray) -> np.ndarray:
+        """K of the base pair at each outcome: the table inside [-Y, Y], the
+        quadrature outside."""
+        base_n, base_l = self._base
+        inside = np.abs(y) <= self._y_max
+        values = np.empty(y.shape, dtype=complex)
+        if inside.any():
+            if self._table is None:
+                self._table = numerics.chebyshev_fit(
+                    lambda x: kernel_matrix_element(
+                        base_n, base_l, self._y_max * x, self._cutoff, self._tol
+                    ),
+                    self._tol,
+                )
+            values[inside] = np.polynomial.chebyshev.chebval(y[inside] / self._y_max, self._table)
+        if not inside.all():
+            values[~inside] = kernel_matrix_element(
+                base_n, base_l, y[~inside], self._cutoff, self._tol
+            )
+        return values
 
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, HOMODYNE_DTYPE, "homodyne")
-        base_n, base_l = self._base
-        values = np.exp(1j * base_l * records["phi"]) * kernel_matrix_element(
-            base_n, base_l, records["y"], self._cutoff, self._tol
-        )
+        values = np.exp(1j * self._base[1] * records["phi"]) * self._kernel_values(records["y"])
         return values if self.l >= 0 else values.conj()
 
 

@@ -89,8 +89,9 @@ def reconstruct(records, kernel, shards: int = 1) -> dict:
     The values are split into ``shards`` contiguous parts, each reduced by
     :func:`moments` and combined with :func:`merge`; the result is identical
     (to roundoff) for any shard count.  A kernel value that is not finite
-    (an outcome so large that its estimator overflows) raises RecordError
-    naming the first such record.
+    (an outcome so large that its estimator overflows), or whose real or
+    imaginary part is so large that the sum of squared deviations of the
+    batch could overflow, raises RecordError naming the first such record.
     """
     if len(records) == 0:
         raise ValueError("cannot reconstruct from an empty record stream")
@@ -98,7 +99,17 @@ def reconstruct(records, kernel, shards: int = 1) -> dict:
         raise ValueError("shards must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(kernel.evaluate(records), dtype=complex)
-    check_rows([(np.isfinite(values), "estimator value is not finite", values)])
+    # each deviation is at most 2 * limit, so the sum of count squares stays finite
+    limit = math.sqrt(np.finfo(float).max / (8.0 * values.size))
+    check_rows([
+        (np.isfinite(values), "estimator value is not finite", values),
+        (
+            np.maximum(np.abs(values.real), np.abs(values.imag)) <= limit,
+            f"estimator value is too large to average over {values.size} records "
+            f"(limit {limit:.3e})",
+            values,
+        ),
+    ])
     acc = RunningEstimate()
     for part in np.array_split(values, min(shards, len(records))):
         acc = merge(acc, moments(part))

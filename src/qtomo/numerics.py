@@ -6,6 +6,7 @@ state, so all routines are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,12 +22,14 @@ __all__ = [
     "density_matrix",
     "unitary_evolution",
     "laguerre",
+    "laguerre_function",
     "oscillator_eigenfunction",
     "oscillator_eigenfunctions",
     "integrate_real",
     "integrate_oscillatory",
     "panel_rule",
     "sphere_rule",
+    "chebyshev_fit",
 ]
 
 MAX_EIGEN_DIM = 512
@@ -37,9 +40,15 @@ HERMITIAN_TOL = 1e-12
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _MAX_DOUBLINGS = 14
-# frequencies per block of an array call to integrate_oscillatory; bounds
-# the (frequencies x nodes) phase matrix
-_OSCILLATORY_CHUNK = 4096
+# no refinement level has more panels, so one level holds at most 2**21 nodes
+_MAX_PANELS = 2**17
+# an oscillatory integral starts at most this many panels, leaving room for
+# two doublings below _MAX_PANELS
+_MAX_INITIAL_PANELS = _MAX_PANELS // 4
+# entries per block of the (frequencies x panels) phase matrix
+_PHASE_BLOCK = 2**18
+_CHEBYSHEV_START_DEGREE = 16
+_CHEBYSHEV_MAX_DEGREE = 2**13
 
 
 class NonHermitianError(ValueError):
@@ -57,15 +66,17 @@ class EigensolverError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Panel refinement hit its cap before two levels agreed.
+    """Refinement hit its cap before two levels agreed, or would need more
+    panels than the cap allows.
 
-    Carries the last two composite estimates for diagnosis.
+    Carries the last two composite estimates for diagnosis, if there are any;
+    ``reason`` replaces the default message.
     """
 
-    def __init__(self, estimates, tol: float):
+    def __init__(self, estimates, tol: float, reason: str | None = None):
         self.estimates = estimates
         super().__init__(
-            f"quadrature did not converge to {tol:.1e}: last estimates {estimates}"
+            reason or f"quadrature did not converge to {tol:.1e}: last estimates {estimates}"
         )
 
 
@@ -155,6 +166,32 @@ def laguerre(n: int, l: int, x):
     return p if xa.ndim else float(p)
 
 
+def laguerre_function(n: int, l: int, x) -> np.ndarray:
+    """Normalized Laguerre function sqrt(n!/(n+l)!) x^(l/2) e^(-x/2) L^l_n(x).
+
+    Its square integrates to 1 over x >= 0.  The three-term recurrence runs
+    on the normalized functions themselves, like
+    :func:`oscillator_eigenfunctions`, so neither the polynomial nor the
+    factorials overflow up to n + l = 200.  ``x`` is a nonnegative array.
+    """
+    if n < 0 or l < 0:
+        raise ValueError("degree and superscript must be nonnegative")
+    if n + l > MAX_POLY_DEGREE:
+        raise ValueError(f"n + l limited to {MAX_POLY_DEGREE}")
+    xa = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_power = 0.5 * l * np.log(xa) if l else 0.0
+    prev = np.exp(log_power - 0.5 * xa - 0.5 * math.lgamma(l + 1))
+    if n == 0:
+        return prev
+    cur = (l + 1.0 - xa) * prev / math.sqrt(l + 1.0)
+    for k in range(1, n):
+        prev, cur = cur, (
+            (2 * k + l + 1 - xa) * cur - math.sqrt(k * (k + l)) * prev
+        ) / math.sqrt((k + 1) * (k + l + 1))
+    return cur
+
+
 def oscillator_eigenfunctions(n_max: int, x) -> np.ndarray:
     """Hermite functions psi_0..psi_n_max evaluated at ``x``, shape (n_max+1, len(x)).
 
@@ -194,9 +231,11 @@ def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarra
 def _refine(estimate: Callable[[int], np.ndarray], n_panels: int, tol: float):
     """The refinement ladder: double the panel count until two successive
     ``estimate(n_panels)`` agree within ``tol`` in the real and the imaginary
-    part of every component."""
-    prev = estimate(n_panels)
+    part of every component, at most 14 times and never past 2**17 panels."""
+    prev = cur = estimate(n_panels)
     for _ in range(_MAX_DOUBLINGS):
+        if 2 * n_panels > _MAX_PANELS:
+            break
         n_panels *= 2
         cur = estimate(n_panels)
         if np.all(np.abs(cur.real - prev.real) <= tol) and np.all(
@@ -228,14 +267,18 @@ def integrate_real(
 
 
 def oscillatory_panel_count(frequency: float | np.ndarray, cutoff: float):
-    """Smallest panel count keeping panel width <= pi / (2 (|frequency| + 1)),
-    elementwise over an array of frequencies.
+    """Smallest power-of-two panel count keeping panel width <= pi / (2
+    (|frequency| + 1)), elementwise over an array of frequencies.
 
-    The counts stay integer-valued floats: a cast to a fixed-width integer
-    would wrap for a huge frequency instead of failing on its size.
+    Powers of two let the frequencies of one call share refinement levels.
+    The counts stay floats: a cast to a fixed-width integer would wrap for a
+    huge frequency instead of failing on its size.
     """
-    width_cap = np.pi / (2.0 * (np.abs(frequency) + 1.0))
-    return np.maximum(1.0, np.ceil(cutoff / width_cap))
+    with np.errstate(over="ignore", divide="ignore"):
+        # a frequency near the float maximum gives an infinite count
+        width_cap = np.pi / (2.0 * (np.abs(frequency) + 1.0))
+        needed = np.maximum(1.0, np.ceil(cutoff / width_cap))
+    return 2.0 ** np.ceil(np.log2(needed))
 
 
 def integrate_oscillatory(
@@ -247,14 +290,17 @@ def integrate_oscillatory(
     """Integral of e^{i frequency t} g(t) over [0, cutoff].
 
     ``frequency`` is a scalar (complex result) or a 1-d array (one complex
-    value per frequency).  The initial panel width resolves the oscillation
-    of the phase factor.  An array is split into contiguous blocks of 4096
-    frequencies and each block is grouped by initial panel count;
-    every group then climbs the same doubling ladder as
-    :func:`integrate_real`, with the real and imaginary parts of each member
-    required to settle within ``tol``.  A group doubles until all of its
-    members settle, so a value from an array call can differ, within
-    ``tol``, from the value of a one-at-a-time call.
+    value per frequency).  The initial panel count resolves the oscillation
+    of the phase factor; frequencies are grouped by it, and every group
+    climbs the same doubling ladder as :func:`integrate_real`, with the real
+    and imaginary parts of each member required to settle within ``tol``.
+    A group doubles until all of its members settle, so a value from an
+    array call can differ, within ``tol``, from the value of a one-at-a-time
+    call.  ``g`` is evaluated once per panel count and call, and the phase
+    is factored per panel, e^{i f t} = e^{i f mid} e^{i f (t - mid)}.  A
+    frequency that needs more than 2**15 initial panels raises
+    QuadratureError naming it, so any finite input costs bounded time and
+    memory.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -264,20 +310,96 @@ def integrate_oscillatory(
     flat = freqs.reshape(-1)
     if not np.all(np.isfinite(flat)):
         raise ValueError("frequencies must be finite")
+    counts = oscillatory_panel_count(flat, cutoff)
+    too_many = counts > _MAX_INITIAL_PANELS
+    if np.any(too_many):
+        raise QuadratureError(
+            None,
+            tol,
+            f"frequency {flat[np.argmax(too_many)].item()!r} needs more than "
+            f"{_MAX_INITIAL_PANELS} initial panels on [0, {cutoff!r}]",
+        )
+    rules = {}
+
+    def rule(n_panels):
+        """Panel midpoints, node offsets within a panel and weighted g values."""
+        if n_panels not in rules:
+            nodes, weights = panel_rule(0.0, cutoff, n_panels)
+            width = cutoff / n_panels
+            weighted = (weights * g(nodes)).reshape(n_panels, _GL_ORDER).T
+            rules[n_panels] = (
+                (np.arange(n_panels) + 0.5) * width,
+                0.5 * width * _GL_NODES,
+                weighted.astype(complex),
+            )
+        return rules[n_panels]
+
     out = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, _OSCILLATORY_CHUNK):
-        chunk = flat[start : start + _OSCILLATORY_CHUNK]
-        counts = oscillatory_panel_count(chunk, cutoff)
-        for p in np.unique(counts):
-            sel = np.nonzero(counts == p)[0]
-            group = chunk[sel]
+    for p in np.unique(counts):
+        sel = np.nonzero(counts == p)[0]
+        group = flat[sel]
 
-            def estimate(n_panels):
-                nodes, weights = panel_rule(0.0, cutoff, n_panels)
-                return np.exp(1j * np.outer(group, nodes)) @ (weights * g(nodes))
+        def estimate(n_panels):
+            mids, offsets, weighted = rule(n_panels)
+            rows = max(1, _PHASE_BLOCK // n_panels)
+            return np.concatenate([
+                np.sum(
+                    np.exp(1j * np.outer(block, mids))
+                    * (np.exp(1j * np.outer(block, offsets)) @ weighted),
+                    axis=1,
+                )
+                for block in np.split(group, range(rows, group.size, rows))
+            ])
 
-            out[start + sel] = _refine(estimate, int(p), tol)
+        out[sel] = _refine(estimate, int(p), tol)
     return out if freqs.ndim else complex(out[0])
+
+
+def _chebyshev_points(degree: int) -> np.ndarray:
+    """Chebyshev points of the second kind, cos(j pi / degree) for j = 0 ..
+    degree, written as sines: they are then symmetric about 0 exactly, and
+    the points of ``2 degree`` at even j are those of ``degree`` bit for bit."""
+    return np.sin(0.5 * np.pi * np.arange(degree, -degree - 1, -2) / degree)
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through ``values`` at the Chebyshev
+    points of degree ``len(values) - 1``, by the FFT of their even extension."""
+    degree = values.size - 1
+    coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: degree + 1] / degree
+    coeffs[0] /= 2.0
+    coeffs[-1] /= 2.0
+    return coeffs
+
+
+def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], tol: float) -> np.ndarray:
+    """Chebyshev coefficients of an interpolant that agrees with ``f`` on
+    [-1, 1] within ``tol``; evaluate it with ``np.polynomial.chebyshev.chebval``.
+
+    ``f`` maps an array of points to real or complex values.  The degree
+    climbs one doubling ladder from 16 over Chebyshev points of the second
+    kind, which are nested, so no point is evaluated twice: degree N is
+    accepted once its interpolant matches ``f`` within ``tol``, in the real
+    and the imaginary part, at the N new points of degree 2N.  Past degree
+    8192 it raises QuadratureError.
+    """
+    degree = _CHEBYSHEV_START_DEGREE
+    values = np.asarray(f(_chebyshev_points(degree)))
+    while degree <= _CHEBYSHEV_MAX_DEGREE:
+        coeffs = _chebyshev_coefficients(values)
+        fresh = _chebyshev_points(2 * degree)[1::2]
+        exact = np.asarray(f(fresh))
+        gap = np.polynomial.chebyshev.chebval(fresh, coeffs) - exact
+        if np.all(np.abs(gap.real) <= tol) and np.all(np.abs(gap.imag) <= tol):
+            return coeffs
+        merged = np.empty(2 * degree + 1, dtype=np.result_type(values, exact))
+        merged[0::2], merged[1::2] = values, exact
+        values, degree = merged, 2 * degree
+    raise QuadratureError(
+        None,
+        tol,
+        f"no Chebyshev interpolant of degree <= {_CHEBYSHEV_MAX_DEGREE} agrees within {tol:.1e}",
+    )
 
 
 def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

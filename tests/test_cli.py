@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -306,6 +307,39 @@ class TestErrors:
         assert err["error"]["code"] == "data"
         assert err["error"]["message"].startswith("record 1: estimator value is not finite")
 
+
+    def test_huge_outcome_is_a_quadrature_error_in_bounded_time(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 1.0}\n{"phi": 1.0, "y": 1e6}\n')
+        config = write_config(
+            tmp_path,
+            "rec.json",
+            {"records_path": str(records), "target": {"type": "matrix-element", "n": 0, "l": 0}},
+        )
+        start = time.perf_counter()
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "quadrature"
+        assert "frequency 1000000.0 " in err["error"]["message"]
+
+    def test_huge_finite_estimator_is_a_data_error(self, tmp_path, capfd):
+        # y^2 - 1/2 = 1e308 is finite, but its squared deviation is not
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 1.0}\n{"phi": 1.0, "y": 1e154}\n')
+        config = write_config(
+            tmp_path,
+            "rec.json",
+            {"records_path": str(records), "target": {"type": "photon-number"}},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["code"] == "data"
+        assert err["error"]["message"].startswith("record 1: estimator value is too large")
 
 class TestJsonSerializer:
     def test_nested_payload(self):

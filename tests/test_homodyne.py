@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -380,6 +381,115 @@ class TestKernel:
         for y, value in zip(ys, batch):
             scalar = homodyne.kernel_matrix_element(2, 1, float(y))
             assert value == pytest.approx(scalar, abs=1e-12)
+
+
+def unnormalized_kernel(n, l, y):
+    """The kernel as integrated before the envelope was normalized: the raw
+    t^(l+1) L^l_n(t^2/2) e^(-t^2/4) times the prefactor, outside the integral."""
+    prefactor = (-1j) ** l * 2.0 ** (-l / 2.0) * math.sqrt(
+        math.factorial(n) / math.factorial(n + l)
+    )
+    envelope = lambda t: t ** (l + 1) * numerics.laguerre(n, l, t * t / 2.0) * np.exp(-t * t / 4.0)
+    return prefactor * numerics.integrate_oscillatory(
+        envelope, y, 12.0 + 2.0 * math.sqrt(n + l)
+    )
+
+
+ADVERTISED_PAIRS = sorted(
+    {(n, l) for n in range(0, 201, 25) for l in range(0, 201 - n, 25)}
+    | {(200, 0), (0, 200), (150, 50), (80, 20), (20, 10), (199, 1)}
+)
+
+
+class TestKernelRange:
+    """Kernels for every n + l <= 200, from the normalized envelope."""
+
+    @pytest.mark.parametrize("n, l", ADVERTISED_PAIRS)
+    def test_converges_with_the_envelope_negligible_past_the_cutoff(self, n, l):
+        cutoff = homodyne.default_kernel_cutoff(n, l)
+        t = np.linspace(cutoff, cutoff + 40.0, 2001)
+        assert np.max(np.abs(homodyne._kernel_envelope(n, l, t))) <= 1e-10
+        values = homodyne.kernel_matrix_element(n, l, np.array([-3.0, 0.0, 0.7, 9.5]))
+        assert np.all(np.isfinite(values))
+
+    def test_small_pairs_match_the_unnormalized_integral(self):
+        ys = np.array([-6.0, -0.7, 0.0, 0.3, 2.5, 6.0, 11.0])
+        for n in range(7):
+            for l in range(7):
+                got = homodyne.kernel_matrix_element(n, l, ys)
+                want = unnormalized_kernel(n, l, ys)
+                assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("n, l", [(199, 0), (100, 60), (0, 200), (150, 50)])
+    def test_large_kernels_are_dual_to_the_mode_products(self, n, l):
+        # pattern-function duality: int K_{n,l}(y) psi_m(y) psi_{m+l}(y) dy = delta_{nm}
+        y_max = homodyne.default_y_max(200)
+        nodes, weights = numerics.panel_rule(-y_max, y_max, 128)
+        psi = numerics.oscillator_eigenfunctions(200, nodes)
+        kernel = homodyne.kernel_matrix_element(n, l, nodes)
+        for m in {n, max(n - 1, 0)}:
+            overlap = np.sum(weights * kernel * psi[m] * psi[m + l])
+            assert abs(overlap - (1.0 if m == n else 0.0)) <= 1e-8
+
+
+class TestKernelTable:
+    """The per-kernel Chebyshev table against its quadrature oracle."""
+
+    KERNELS = [(0, 0), (5, 0), (3, 2), (5, -3)]
+
+    @staticmethod
+    def base_values(n, l, ys):
+        base_n, base_l = (n, l) if l >= 0 else (n + l, -l)
+        values = homodyne.kernel_matrix_element(base_n, base_l, ys)
+        return values if l >= 0 else values.conj()
+
+    @pytest.mark.parametrize("n, l", KERNELS)
+    def test_matches_the_quadrature_within_tol(self, n, l):
+        kernel = homodyne.MatrixElementKernel(n, l)
+        y_max = kernel._y_max
+        ys = np.random.default_rng(n + 7 * abs(l)).uniform(-y_max, y_max, 1000)
+        ys = np.concatenate((ys, [-y_max, y_max]))
+        # phi = 0 makes the phase factor exactly 1
+        got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
+        assert kernel._table is not None
+        want = self.base_values(n, l, ys)
+        assert np.max(np.abs(got.real - want.real)) <= kernel._tol
+        assert np.max(np.abs(got.imag - want.imag)) <= kernel._tol
+
+    @pytest.mark.parametrize("n, l", KERNELS)
+    def test_batch_and_single_records_are_bit_identical(self, n, l):
+        rng = np.random.default_rng(3)
+        kernel = homodyne.MatrixElementKernel(n, l)
+        records = homodyne.homodyne_records(
+            rng.uniform(0.0, 2.0 * np.pi, 64), rng.uniform(-kernel._y_max, kernel._y_max, 64)
+        )
+        batch = kernel.evaluate(records)
+        for i in range(len(records)):
+            single = kernel.evaluate(records[i : i + 1])
+            assert single.tobytes() == batch[i : i + 1].tobytes()
+
+    def test_each_side_of_the_table_edge_takes_its_path(self):
+        kernel = homodyne.MatrixElementKernel(3, 2)
+        y_max = kernel._y_max
+        ys = np.array([0.3, -y_max, y_max + 0.25, -y_max - 40.0, y_max, np.nextafter(y_max, 0.0)])
+        got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
+        inside = np.abs(ys) <= y_max
+        table = np.polynomial.chebyshev.chebval(ys[inside] / y_max, kernel._table)
+        assert got[inside].tobytes() == table.tobytes()
+        quadrature = homodyne.kernel_matrix_element(3, 2, ys[~inside])
+        assert got[~inside].tobytes() == quadrature.tobytes()
+
+    def test_outcomes_past_the_table_do_not_build_it(self):
+        kernel = homodyne.MatrixElementKernel(0, 0)
+        kernel.evaluate(homodyne.homodyne_records([1.0], [kernel._y_max + 1.0]))
+        assert kernel._table is None
+
+    def test_huge_outcome_fails_fast(self):
+        kernel = homodyne.MatrixElementKernel(0, 0)
+        start = time.perf_counter()
+        with pytest.raises(numerics.QuadratureError, match="frequency 1000000.0 "):
+            kernel.evaluate(homodyne.homodyne_records([1.0, 2.0], [0.5, 1e6]))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEstimators:

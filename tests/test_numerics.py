@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,41 @@ class TestLaguerre:
             numerics.laguerre(0, 201, 1.0)
 
 
+class TestLaguerreFunction:
+    def test_matches_normalized_series_oracle(self):
+        for n in range(9):
+            for l in (0, 1, 4, 9):
+                norm = math.sqrt(math.factorial(n) / math.factorial(n + l))
+                for x in (0.0, 0.1, 1.0, 3.7, 9.2):
+                    want = norm * x ** (l / 2.0) * math.exp(-x / 2.0) * laguerre_series(n, l, x)
+                    got = numerics.laguerre_function(n, l, np.array([x]))[0]
+                    assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (7, 3), (200, 0), (0, 200), (100, 100), (150, 50)])
+    def test_unit_norm_up_to_the_degree_limit(self, n, l):
+        # the squares integrate to 1; past x = 1400 they are below 1e-100
+        norm = numerics.integrate_real(
+            lambda x: numerics.laguerre_function(n, l, x) ** 2, 0.0, 1400.0, tol=1e-10,
+            min_panels=64,
+        )
+        assert norm == pytest.approx(1.0, abs=1e-9)
+
+    def test_finite_where_the_unnormalized_form_overflows(self):
+        # t^201 and L^0_200 overflow on the grid; the normalized values do not
+        x = np.linspace(0.0, 2000.0, 4001)
+        for n, l in ((200, 0), (0, 200), (100, 100)):
+            values = numerics.laguerre_function(n, l, x)
+            assert np.all(np.isfinite(values))
+            assert np.max(np.abs(values)) <= 1.0
+        assert numerics.laguerre_function(3, 2, np.array([0.0]))[0] == 0.0
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            numerics.laguerre_function(-1, 0, np.array([1.0]))
+        with pytest.raises(ValueError):
+            numerics.laguerre_function(150, 51, np.array([1.0]))
+
+
 class TestOscillatorEigenfunctions:
     def test_ground_state_at_origin(self):
         assert numerics.oscillator_eigenfunction(0, 0.0) == pytest.approx(
@@ -255,3 +292,65 @@ class TestIntegrateOscillatory:
         val = numerics.integrate_oscillatory(lambda t: np.ones_like(t), w, 1.0)
         want = (np.exp(1j * w) - 1.0) / (1j * w)
         assert val == pytest.approx(want, abs=1e-11)
+
+    def test_counts_are_powers_of_two(self):
+        counts = numerics.oscillatory_panel_count(np.array([0.0, 0.5, 3.0, 250.0]), 16.5)
+        assert np.all(np.log2(counts) == np.round(np.log2(counts)))
+
+    def test_huge_frequency_fails_fast_and_names_it(self):
+        start = time.perf_counter()
+        with pytest.raises(numerics.QuadratureError, match="frequency 1000000.0 ") as err:
+            numerics.integrate_oscillatory(
+                lambda t: t * np.exp(-t * t / 4.0), np.array([0.5, 1e6]), 16.5
+            )
+        assert time.perf_counter() - start < 1.0
+        assert err.value.estimates is None
+        with warnings.catch_warnings():
+            # a frequency near the float maximum overflows the count silently
+            warnings.simplefilter("error")
+            with pytest.raises(numerics.QuadratureError, match="frequency 1.7e"):
+                numerics.integrate_oscillatory(lambda t: np.ones_like(t), 1.7e308, 16.5)
+
+    def test_ladder_never_passes_the_panel_cap(self):
+        # the highest frequency that may start, at 2**15 panels on [0, 1]
+        freq = 2**15 * math.pi / 2.0 - 1.0
+        assert numerics.oscillatory_panel_count(freq, 1.0) == 2**15
+        sizes = []
+
+        def g(t):
+            sizes.append(t.size)
+            return np.sin(1e7 * t) ** 2
+
+        with pytest.raises(numerics.QuadratureError):
+            numerics.integrate_oscillatory(g, freq, 1.0, tol=0.0)
+        assert max(sizes) == 16 * 2**17
+
+
+class TestChebyshevFit:
+    def test_fits_a_smooth_complex_function_without_repeating_points(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(x) * (1.0 + 0.5j * np.sin(3.0 * x))
+
+        coeffs = numerics.chebyshev_fit(f, 1e-12)
+        points = np.concatenate(seen)
+        # degree N is accepted at the N new points of degree 2N
+        assert points.size == 2 * (coeffs.size - 1) + 1
+        assert np.unique(points).size == points.size
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, 500)
+        x = np.concatenate((x, [-1.0, 1.0]))
+        err = np.polynomial.chebyshev.chebval(x, coeffs) - f(x)
+        assert np.max(np.abs(err)) <= 1e-12
+
+    def test_points_are_symmetric_and_nested(self):
+        coarse = numerics._chebyshev_points(16)
+        fine = numerics._chebyshev_points(32)
+        assert np.array_equal(fine[::2], coarse)
+        assert np.array_equal(coarse, -coarse[::-1])
+        assert coarse[0] == 1.0 and coarse[-1] == -1.0
+
+    def test_raises_past_the_degree_cap(self):
+        with pytest.raises(numerics.QuadratureError, match="degree <= 8192"):
+            numerics.chebyshev_fit(np.sign, 1e-10)
