@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "RecordError", "format_float", "dumps", "check_rows", "check_batch",
-    "read_jsonl", "complex_matrix", "save_state", "load_state",
+    "read_jsonl", "rows_at_lines", "complex_matrix", "save_state", "load_state",
 ]
 
 
@@ -92,8 +93,17 @@ def read_jsonl(path, row, build):
                 raise RecordError(f"{path}:{lineno}", f"missing field {exc}") from exc
             except (OverflowError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}", str(exc)) from exc
-    try:
+    with rows_at_lines(path):
         return build(np.frombuffer(values, dtype=float))
+
+
+@contextmanager
+def rows_at_lines(path):
+    """Re-raise a RecordError that names a batch row as one naming
+    ``path:line``, the line of that record among the nonblank lines of
+    ``path``, the file the batch was read from."""
+    try:
+        yield
     except RecordError as exc:
         if exc.row is None:
             raise

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import groups, homodyne, mc, numerics, spin
-from ._jsonio import RecordError, complex_matrix, dumps, format_float
+from ._jsonio import RecordError, complex_matrix, dumps, format_float, rows_at_lines
 
 __all__ = ["main", "run_validation_suite"]
 
@@ -148,7 +148,8 @@ def _run_reconstruct(cfg: dict) -> int:
     else:
         records = spin.read_spin_records(records_path)
         kernel = spin.SpinOperatorKernel(_spin_target_operator(cfg, target))
-    result = mc.reconstruct(records, kernel)
+    with rows_at_lines(records_path):
+        result = mc.reconstruct(records, kernel)
     payload = {
         "observable": _observable_id(target),
         "mean": [result["mean"].real, result["mean"].imag],

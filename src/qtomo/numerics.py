@@ -7,7 +7,7 @@ state, so all routines are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -15,24 +15,19 @@ __all__ = [
     "NonHermitianError",
     "EigensolverError",
     "QuadratureError",
-    "HermitianEigen",
     "hermitian_asymmetry",
     "require_hermitian",
-    "hermitian_eigen",
     "density_matrix",
-    "unitary_evolution",
-    "laguerre",
     "laguerre_function",
-    "oscillator_eigenfunction",
     "oscillator_eigenfunctions",
     "integrate_real",
     "integrate_oscillatory",
     "panel_rule",
     "sphere_rule",
+    "real_spherical_harmonics",
     "chebyshev_fit",
 ]
 
-MAX_EIGEN_DIM = 512
 MAX_POLY_DEGREE = 200
 
 HERMITIAN_TOL = 1e-12
@@ -80,13 +75,6 @@ class QuadratureError(RuntimeError):
         )
 
 
-class HermitianEigen(NamedTuple):
-    """Spectral decomposition M = V diag(values) V^H, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def hermitian_asymmetry(m: np.ndarray) -> float:
     """Max-norm of M - M^H, the distance from being Hermitian."""
     m = np.asarray(m)
@@ -100,26 +88,6 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if asym > tol:
         raise NonHermitianError(asym, tol)
     return m
-
-
-def hermitian_eigen(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
-
-    Rejects matrices whose asymmetry exceeds ``tol`` and symmetrizes the rest
-    before factorizing, so the result is exactly the decomposition of
-    (M + M^H)/2.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported {MAX_EIGEN_DIM}")
-    require_hermitian(m, tol)
-    try:
-        values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigh failed to converge: {exc}") from exc
-    return HermitianEigen(values, vectors)
 
 
 def density_matrix(matrix, dim: int) -> np.ndarray:
@@ -136,34 +104,6 @@ def density_matrix(matrix, dim: int) -> np.ndarray:
         raise ValueError(f"state not positive semidefinite: min eigenvalue {eigmin:.3e}")
     m.setflags(write=False)
     return m
-
-
-def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t H) for Hermitian H, via the spectral decomposition."""
-    values, vectors = hermitian_eigen(h)
-    phases = np.exp(1j * t * values)
-    return (vectors * phases) @ vectors.conj().T
-
-
-def laguerre(n: int, l: int, x):
-    """Associated Laguerre polynomial L^l_n(x).
-
-    Uses the three-term recurrence in the degree at fixed superscript, which
-    is stable for the argument ranges that arise here.  Accepts scalars or
-    arrays in ``x``.
-    """
-    if n < 0 or l < 0:
-        raise ValueError("degree and superscript must be nonnegative")
-    if n > MAX_POLY_DEGREE or l > MAX_POLY_DEGREE:
-        raise ValueError(f"degree/superscript limited to {MAX_POLY_DEGREE}")
-    xa = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(xa)
-    if n == 0:
-        return p_prev if xa.ndim else float(p_prev)
-    p = 1.0 + l - xa
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + l + 1 - xa) * p - (k + l) * p_prev) / (k + 1)
-    return p if xa.ndim else float(p)
 
 
 def laguerre_function(n: int, l: int, x) -> np.ndarray:
@@ -209,12 +149,6 @@ def oscillator_eigenfunctions(n_max: int, x) -> np.ndarray:
     for n in range(2, n_max + 1):
         out[n] = np.sqrt(2.0 / n) * xa * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
     return out
-
-
-def oscillator_eigenfunction(n: int, x):
-    """Single Hermite function psi_n(x); scalar in, scalar out."""
-    vals = oscillator_eigenfunctions(n, x)[n]
-    return vals if np.ndim(x) else float(vals[0])
 
 
 def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +340,8 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes (r, 3) and weights of a rule for the normalized dOmega.
 
     Gauss-Legendre in cos(theta) at ``order`` nodes times ``2 order``
-    equally spaced azimuths; the weights sum to 1.
+    equally spaced azimuths; the weights sum to 1, and the rule is exact for
+    polynomials in the axis of degree <= 2 order - 1.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     az = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
@@ -414,3 +349,50 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
     axes = np.stack([sin_t * np.cos(az), sin_t * np.sin(az), cos_t], axis=1)
     return axes, np.repeat(weights, 2 * order) / (4.0 * order)
+
+
+def real_spherical_harmonics(degree: int, axes: np.ndarray) -> np.ndarray:
+    """Real spherical harmonics of every L <= ``degree`` at unit ``axes``
+    (r, 3), one row per harmonic, shape ((degree + 1)**2, r).  They are
+    orthonormal under the normalized dOmega: the mean of each square over
+    the sphere is 1.
+
+    Rows run m-major: for m = 0 the zonal harmonics L = 0..degree, then for
+    each m >= 1 the cos(m phi) harmonics L = m..degree followed by the
+    sin(m phi) ones.  Harmonic (L, m) is Q_L^m(z) Re or Im (x + iy)^m, with
+    Q_L^m the normalized associated Legendre function divided by
+    sin(theta)^m, by its three-term recurrence in L; no angle is formed and
+    every operation is elementwise, so a column depends on its axis only.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    axes = np.asarray(axes, dtype=float)
+    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+    out = np.empty(((degree + 1) ** 2, axes.shape[0]))
+    row = 0
+    diag = 1.0  # Q_m^m, a constant
+    re, im = np.ones_like(x), np.zeros_like(x)  # (x + iy)^m
+    for m in range(degree + 1):
+        if m:
+            # sqrt((2m + 1) / 2m) per step, and sqrt(2) once for the cos/sin pairs
+            diag *= math.sqrt((2 * m + 1) / (2 * m) * (2.0 if m == 1 else 1.0))
+            re, im = re * x - im * y, re * y + im * x
+        first = row
+        out[row] = diag
+        for l in range(m + 1, degree + 1):
+            row += 1
+            if l == m + 1:
+                out[row] = math.sqrt(2 * m + 3) * z * out[row - 1]
+            else:
+                a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+                b = math.sqrt(
+                    (2 * l + 1) * ((l - 1) ** 2 - m * m) / ((2 * l - 3) * (l * l - m * m))
+                )
+                out[row] = a * z * out[row - 1] - b * out[row - 2]
+        row += 1
+        if m:
+            count = row - first
+            np.multiply(out[first:row], im, out=out[row : row + count])
+            out[first:row] *= re
+            row += count
+    return out

@@ -43,6 +43,8 @@ AXIS_NORM_TOL = 1e-12
 SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
 _SAMPLE_CHUNK = 8192
+# entries of one block of harmonic values, so a block stays a few MB at any j
+_BASIS_BLOCK = 2**19
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,7 +151,7 @@ def axis_eigh(two_j: int, axes: np.ndarray):
 
 def _diagonals(a_matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Diagonal a_m of A in each eigenbasis of a stack, shape (r, 2j+1)."""
-    return np.einsum("rnk,nm,rmk->rk", vectors.conj(), a_matrix, vectors)
+    return np.einsum("rnk,rnk->rk", vectors.conj(), a_matrix @ vectors)
 
 
 def _sigma_table(a_diag: np.ndarray) -> np.ndarray:
@@ -161,10 +163,50 @@ def _sigma_table(a_diag: np.ndarray) -> np.ndarray:
     return a_diag.shape[1] * (a_diag - 0.5 * (padded[:, 2:] + padded[:, :-2]))
 
 
-def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndarray:
-    p = _diagonals(rho.matrix, vectors).real
+def _normalized(p: np.ndarray) -> np.ndarray:
     np.clip(p, 0.0, None, out=p)
     return p / p.sum(axis=1, keepdims=True)
+
+
+def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndarray:
+    return _normalized(_diagonals(rho.matrix, vectors).real)
+
+
+def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
+    """Real coefficients of the diagonal a_m(n) of a Hermitian ``matrix`` in
+    the J_n eigenbasis on the real spherical harmonics L <= 2j, one column
+    per m, shape ((2j + 1)**2, 2j + 1).
+
+    Each a_m(n) is a polynomial of degree <= 2j in the axis, so its
+    harmonic series stops at L = 2j, and the rule of order 2j + 1, exact up
+    to degree 4j, makes the projection a plain weighted sum of
+    :func:`axis_eigh` values at its nodes.
+    """
+    two_j = matrix.shape[0] - 1
+    axes, w = numerics.sphere_rule(two_j + 1)
+    _, vectors = axis_eigh(two_j, axes)
+    basis = numerics.real_spherical_harmonics(two_j, axes)
+    return basis @ (w[:, None] * _diagonals(matrix, vectors).real)
+
+
+def _table_values(table: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """a_m(n) for unit ``axes`` (r, 3) from a :func:`_harmonic_table`, (r, 2j + 1).
+
+    The harmonics are summed one after another in a fixed order, never by a
+    BLAS product, so a row is a pure function of its axis, whatever the
+    batch around it.
+    """
+    two_j = table.shape[1] - 1
+    out = np.zeros((two_j + 1, axes.shape[0]))
+    rows = max(1, _BASIS_BLOCK // table.shape[0])
+    for start in range(0, axes.shape[0], rows):
+        basis = numerics.real_spherical_harmonics(two_j, axes[start : start + rows])
+        acc = out[:, start : start + rows]
+        term = np.empty_like(acc)
+        for coeffs, harmonic in zip(table[:, :, None], basis):
+            acc += np.multiply(coeffs, harmonic, out=term)
+    # C order, so a row's reductions run as they would on that row alone
+    return np.ascontiguousarray(out.T)
 
 
 def spin_probabilities(rho: SpinDensityMatrix, axis) -> np.ndarray:
@@ -184,12 +226,17 @@ def spin_probabilities(rho: SpinDensityMatrix, axis) -> np.ndarray:
 def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` records: axis uniform on the sphere, outcome from p_m.
 
-    Record i is a pure function of (seed, i); prefixes of longer runs and
-    shard layouts reproduce identical streams.
+    The state's p_m(n) come from one harmonic table built per call (see
+    :func:`_harmonic_table`), with :func:`axis_eigh` at the rule's nodes as
+    its only eigensolver calls; each record's p_m are then clipped at 0,
+    normalized and drawn by inverse CDF.  Record i is a pure function of
+    (seed, i); prefixes of longer runs and shard layouts reproduce
+    identical streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     two_j = rho.two_j
+    table = _harmonic_table(rho.matrix)
     axes = np.empty((count, 3))
     two_m = np.empty(count, dtype=np.int64)
     for start in range(0, count, _SAMPLE_CHUNK):
@@ -200,8 +247,7 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         chunk = axes[start : start + n]
         chunk[:] = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
-        _, vectors = axis_eigh(two_j, chunk)
-        probs = _probabilities_stack(rho, vectors)
+        probs = _normalized(_table_values(table, chunk))
         cdf = np.cumsum(probs, axis=1)
         draws = u[:, 2] * cdf[:, -1]
         idx = np.minimum((cdf >= draws[:, None]).argmax(axis=1), two_j)
@@ -229,8 +275,9 @@ def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
 
     Writing a_m for the diagonal of A in the J_n eigenbasis (zero outside
     m = -j..+j), the kernel is (2j+1) (a_lambda - (a_{lambda+1} + a_{lambda-1}) / 2).
-    Averaged over records it reproduces Tr[A rho]; this is the production
-    path, with :func:`kernel_spin_numeric` as the quadrature oracle.
+    Averaged over records it reproduces Tr[A rho].  Per axis it runs
+    :func:`axis_eigh`, so it is the oracle of :class:`SpinOperatorKernel`'s
+    harmonic table, and :func:`kernel_spin_numeric` is its quadrature oracle.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     return float(kernel_spin_closed_general(a_matrix, axis, two_lambda).real)
@@ -287,8 +334,10 @@ def exact_reconstruction(
 class SpinOperatorKernel:
     """Batch estimator kernel for a fixed spin observable.
 
-    Evaluates the closed-form kernel on a ``SPIN_DTYPE`` record batch;
-    pure per record, so shard layout never changes a value.
+    Builds the observable's harmonic table once (see :func:`_harmonic_table`)
+    and evaluates the closed-form kernel on a ``SPIN_DTYPE`` record batch
+    from the table's a_m(n) through the one sigma stencil; pure per record,
+    so shard layout never changes a value.
     """
 
     def __init__(self, a_matrix: np.ndarray):
@@ -297,6 +346,7 @@ class SpinOperatorKernel:
             raise ValueError("operator must be a square matrix")
         self.a_matrix = numerics.require_hermitian(a_matrix)
         self.two_j = a_matrix.shape[0] - 1
+        self._table = _harmonic_table(self.a_matrix)
 
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, SPIN_DTYPE, "spin")
@@ -307,8 +357,7 @@ class SpinOperatorKernel:
         out = np.empty(len(records), dtype=complex)
         for start in range(0, len(records), _SAMPLE_CHUNK):
             stop = min(start + _SAMPLE_CHUNK, len(records))
-            _, vectors = axis_eigh(two_j, records["axis"][start:stop])
-            sigma = _sigma_table(_diagonals(self.a_matrix, vectors).real)
+            sigma = _sigma_table(_table_values(self._table, records["axis"][start:stop]))
             out[start:stop] = np.take_along_axis(sigma, idx[start:stop, None], axis=1)[:, 0]
         return out
 

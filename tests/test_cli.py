@@ -305,7 +305,7 @@ class TestErrors:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"]["code"] == "data"
-        assert err["error"]["message"].startswith("record 1: estimator value is not finite")
+        assert err["error"]["message"].startswith(f"{records}:2: estimator value is not finite")
 
 
     def test_huge_outcome_is_a_quadrature_error_in_bounded_time(self, tmp_path, capsys):
@@ -339,7 +339,37 @@ class TestErrors:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"]["code"] == "data"
-        assert err["error"]["message"].startswith("record 1: estimator value is too large")
+        assert err["error"]["message"].startswith(f"{records}:2: estimator value is too large")
+
+    @pytest.mark.parametrize(
+        "lines, target, reason",
+        [
+            (
+                ['{"phi": 0.5, "y": 1.0}', '{"phi": 1.0, "y": 1e154}'],
+                {"type": "photon-number"},
+                "estimator value is too large",
+            ),
+            (
+                ['{"axis": [0.0, 0.0, 1.0], "two_m": 2}', '{"axis": [1.0, 0.0, 0.0], "two_m": 1}'],
+                {"type": "spin-operator", "name": "Jz", "two_j": 2},
+                "two_m invalid for two_j=2",
+            ),
+        ],
+    )
+    def test_value_failure_names_the_line_past_blank_lines(
+        self, tmp_path, capsys, lines, target, reason
+    ):
+        records = tmp_path / "records.jsonl"
+        records.write_text(lines[0] + "\n\n   \n" + lines[1] + "\n")
+        config = write_config(
+            tmp_path, "rec.json", {"records_path": str(records), "target": target}
+        )
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["code"] == "data"
+        assert err["error"]["message"].startswith(f"{records}:4: {reason}")
 
 class TestJsonSerializer:
     def test_nested_payload(self):

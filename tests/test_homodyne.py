@@ -383,13 +383,62 @@ class TestKernel:
             assert value == pytest.approx(scalar, abs=1e-12)
 
 
+def laguerre(n, l, x):
+    """Associated Laguerre polynomial L^l_n(x), unnormalized, by the
+    three-term recurrence in the degree at fixed superscript."""
+    xa = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(xa)
+    if n == 0:
+        return p_prev if xa.ndim else float(p_prev)
+    p = 1.0 + l - xa
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + l + 1 - xa) * p - (k + l) * p_prev) / (k + 1)
+    return p if xa.ndim else float(p)
+
+
+class TestLaguerre:
+    """The unnormalized oracle of :func:`unnormalized_kernel`."""
+
+    def test_degree_zero(self):
+        for l in (0, 3, 17):
+            for x in (0.0, 2.5, -1.0):
+                assert laguerre(0, l, x) == 1.0
+
+    def test_degree_one(self):
+        # L^0_1(x) = 1 - x
+        assert laguerre(1, 0, 2.0) == pytest.approx(-1.0, abs=1e-14)
+
+    def test_degree_two(self):
+        # L^1_2(x) = x^2/2 - 3x + 3
+        assert laguerre(2, 1, 1.0) == pytest.approx(0.5, abs=1e-14)
+
+    def test_matches_the_normalized_function(self):
+        # two independent recurrences: sqrt(n!/(n+l)!) x^(l/2) e^(-x/2) L^l_n(x)
+        x = np.array([0.1, 1.0, 3.7, 9.2])
+        for n in range(9):
+            for l in (0, 1, 4):
+                norm = math.sqrt(math.factorial(n) / math.factorial(n + l))
+                got = norm * x ** (l / 2.0) * np.exp(-x / 2.0) * laguerre(n, l, x)
+                want = numerics.laguerre_function(n, l, x)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+    def test_recurrence_self_consistency(self):
+        # self-consistent up to the single rounding of the recurrence division
+        x = np.linspace(0.0, 20.0, 11)
+        for n in range(1, 12):
+            for l in (0, 2):
+                lhs = (n + 1) * laguerre(n + 1, l, x)
+                rhs = (2 * n + l + 1 - x) * laguerre(n, l, x) - (n + l) * laguerre(n - 1, l, x)
+                np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-14)
+
+
 def unnormalized_kernel(n, l, y):
     """The kernel as integrated before the envelope was normalized: the raw
     t^(l+1) L^l_n(t^2/2) e^(-t^2/4) times the prefactor, outside the integral."""
     prefactor = (-1j) ** l * 2.0 ** (-l / 2.0) * math.sqrt(
         math.factorial(n) / math.factorial(n + l)
     )
-    envelope = lambda t: t ** (l + 1) * numerics.laguerre(n, l, t * t / 2.0) * np.exp(-t * t / 4.0)
+    envelope = lambda t: t ** (l + 1) * laguerre(n, l, t * t / 2.0) * np.exp(-t * t / 4.0)
     return prefactor * numerics.integrate_oscillatory(
         envelope, y, 12.0 + 2.0 * math.sqrt(n + l)
     )

@@ -7,132 +7,12 @@ import pytest
 
 from qtomo import numerics
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def random_hermitian(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (raw + raw.conj().T) / 2.0
-
-
-class TestHermitianEigen:
-    def test_diagonal_matrix(self):
-        values, vectors = numerics.hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)
-        # eigenvectors are basis vectors up to order and phase
-        np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-    def test_pauli_sigma1(self):
-        values, _ = numerics.hermitian_eigen(SIGMA1)
-        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-
-    def test_roundtrip_6x6(self):
-        rng = np.random.default_rng(11)
-        m = random_hermitian(rng, 6)
-        values, vectors = numerics.hermitian_eigen(m)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.max(np.abs(rebuilt - m)) <= 1e-10 * np.max(np.abs(m))
-
-    def test_roundtrip_property_dims_2_to_16(self):
-        rng = np.random.default_rng(5)
-        for dim in range(2, 17):
-            m = random_hermitian(rng, dim)
-            values, vectors = numerics.hermitian_eigen(m)
-            scale = np.max(np.abs(m))
-            assert np.max(np.abs((vectors * values) @ vectors.conj().T - m)) <= 1e-10 * scale
-            gram = vectors.conj().T @ vectors
-            assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
-            assert np.all(np.diff(values) >= -1e-14)
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(numerics.NonHermitianError) as err:
-            numerics.hermitian_eigen(bad)
-        assert err.value.asymmetry == pytest.approx(1.0)
-
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError, match="512"):
-            numerics.hermitian_eigen(np.eye(513, dtype=complex))
-
-
-class TestUnitaryEvolution:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(numerics.unitary_evolution(h, 0.0), np.eye(4), atol=1e-14)
-
-    def test_half_spin_full_turn(self):
-        u = numerics.unitary_evolution(SIGMA3 / 2.0, 2.0 * math.pi)
-        np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
-
-    def test_sigma1_series_identity(self):
-        # sigma1^2 = I gives exp(i t sigma1) = cos(t) I + i sin(t) sigma1
-        for t in (0.3, 1.7, -2.2):
-            expected = math.cos(t) * np.eye(2) + 1j * math.sin(t) * SIGMA1
-            np.testing.assert_allclose(numerics.unitary_evolution(SIGMA1, t), expected, atol=1e-12)
-
-    def test_group_law(self):
-        rng = np.random.default_rng(8)
-        h = 0.5 * random_hermitian(rng, 5)
-        for s, t in ((0.4, 1.1), (-0.7, 0.2)):
-            lhs = numerics.unitary_evolution(h, s) @ numerics.unitary_evolution(h, t)
-            rhs = numerics.unitary_evolution(h, s + t)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(9)
-        h = random_hermitian(rng, 6)
-        u = numerics.unitary_evolution(h, 1.3)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-10
-
-
 def laguerre_series(n, l, x):
     """Independent explicit-series oracle: sum_k (-1)^k C(n+l, n-k) x^k / k!."""
     total = 0.0
     for k in range(n + 1):
         total += (-1.0) ** k * math.comb(n + l, n - k) * x**k / math.factorial(k)
     return total
-
-
-class TestLaguerre:
-    def test_degree_zero(self):
-        for l in (0, 3, 17):
-            for x in (0.0, 2.5, -1.0):
-                assert numerics.laguerre(0, l, x) == 1.0
-
-    def test_degree_one(self):
-        # L^0_1(x) = 1 - x
-        assert numerics.laguerre(1, 0, 2.0) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_degree_two(self):
-        # L^1_2(x) = x^2/2 - 3x + 3
-        assert numerics.laguerre(2, 1, 1.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_matches_series_oracle(self):
-        for n in range(9):
-            for l in (0, 1, 4):
-                for x in (0.1, 1.0, 3.7, 9.2):
-                    got = numerics.laguerre(n, l, x)
-                    want = laguerre_series(n, l, x)
-                    assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-    def test_recurrence_self_consistency(self):
-        # self-consistent up to the single rounding of the recurrence division
-        x = np.linspace(0.0, 20.0, 11)
-        for n in range(1, 12):
-            for l in (0, 2):
-                lhs = (n + 1) * numerics.laguerre(n + 1, l, x)
-                rhs = (2 * n + l + 1 - x) * numerics.laguerre(n, l, x) - (
-                    n + l
-                ) * numerics.laguerre(n - 1, l, x)
-                np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=1e-14)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            numerics.laguerre(-1, 0, 1.0)
-        with pytest.raises(ValueError):
-            numerics.laguerre(0, 201, 1.0)
 
 
 class TestLaguerreFunction:
@@ -172,16 +52,16 @@ class TestLaguerreFunction:
 
 class TestOscillatorEigenfunctions:
     def test_ground_state_at_origin(self):
-        assert numerics.oscillator_eigenfunction(0, 0.0) == pytest.approx(
+        assert numerics.oscillator_eigenfunctions(0, 0.0)[0, 0] == pytest.approx(
             math.pi**-0.25, abs=1e-14
         )
 
     def test_first_excited_odd_parity(self):
-        assert numerics.oscillator_eigenfunction(1, 0.0) == 0.0
+        assert numerics.oscillator_eigenfunctions(1, 0.0)[1, 0] == 0.0
 
     def test_normalization_by_quadrature(self):
         norm = numerics.integrate_real(
-            lambda x: numerics.oscillator_eigenfunction(3, x) ** 2, -12.0, 12.0, tol=1e-10
+            lambda x: numerics.oscillator_eigenfunctions(3, x)[3] ** 2, -12.0, 12.0, tol=1e-10
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -189,8 +69,7 @@ class TestOscillatorEigenfunctions:
         for n in range(13):
             for m in range(n, 13):
                 val = numerics.integrate_real(
-                    lambda t: numerics.oscillator_eigenfunction(n, t)
-                    * numerics.oscillator_eigenfunction(m, t),
+                    lambda t: np.prod(numerics.oscillator_eigenfunctions(m, t)[[n, m]], axis=0),
                     -14.0,
                     14.0,
                     tol=1e-9,
@@ -354,3 +233,56 @@ class TestChebyshevFit:
     def test_raises_past_the_degree_cap(self):
         with pytest.raises(numerics.QuadratureError, match="degree <= 8192"):
             numerics.chebyshev_fit(np.sign, 1e-10)
+
+
+def random_axes(rng, count):
+    axes = rng.normal(size=(count, 3))
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+class TestRealSphericalHarmonics:
+    def test_closed_forms_up_to_degree_two(self):
+        axes = random_axes(np.random.default_rng(3), 50)
+        x, y, z = axes.T
+        s3, s15 = math.sqrt(3.0), math.sqrt(15.0)
+        # m-major rows: (0,0) (1,0) (2,0), m = 1: cos (1,1) (2,1), sin (1,1) (2,1),
+        # m = 2: cos (2,2), sin (2,2)
+        want = [
+            np.ones_like(x),
+            s3 * z,
+            math.sqrt(5.0) * (3.0 * z * z - 1.0) / 2.0,
+            s3 * x,
+            s15 * x * z,
+            s3 * y,
+            s15 * y * z,
+            s15 * (x * x - y * y) / 2.0,
+            s15 * x * y,
+        ]
+        got = numerics.real_spherical_harmonics(2, axes)
+        assert got.shape == (9, 50)
+        np.testing.assert_allclose(got, np.array(want), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 20, 40])
+    def test_orthonormal_under_the_rule_of_order_degree_plus_one(self, degree):
+        axes, w = numerics.sphere_rule(degree + 1)
+        basis = numerics.real_spherical_harmonics(degree, axes)
+        gram = (basis * w) @ basis.T
+        assert np.max(np.abs(gram - np.eye(basis.shape[0]))) <= 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2, 8])
+    def test_one_order_lower_is_not_exact(self, degree):
+        axes, w = numerics.sphere_rule(degree)
+        basis = numerics.real_spherical_harmonics(degree, axes)
+        gram = (basis * w) @ basis.T
+        assert np.max(np.abs(gram - np.eye(basis.shape[0]))) >= 0.5
+
+    def test_columns_depend_on_their_axis_only(self):
+        axes = random_axes(np.random.default_rng(8), 37)
+        batch = numerics.real_spherical_harmonics(6, axes)
+        for i in range(axes.shape[0]):
+            alone = numerics.real_spherical_harmonics(6, axes[i : i + 1])
+            assert np.array_equal(alone[:, 0], batch[:, i])
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError):
+            numerics.real_spherical_harmonics(-1, np.zeros((1, 3)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtomo import groups, numerics, spin
+from qtomo._rng import record_uniforms
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -27,6 +28,45 @@ def random_hermitian(rng, dim):
 def random_axis(rng):
     axis = rng.normal(size=3)
     return axis / np.linalg.norm(axis)
+
+
+def random_axes(rng, count):
+    axes = rng.normal(size=(count, 3))
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+def eigh_diagonals(matrix, two_j, axes):
+    """Oracle: the diagonal of ``matrix`` in each J_n eigenbasis, by eigh."""
+    _, vectors = spin.axis_eigh(two_j, axes)
+    return np.einsum("rnk,nm,rmk->rk", vectors.conj(), matrix, vectors).real
+
+
+def eigh_sampler(rho, count, seed):
+    """The sampler before the harmonic table: eigh per record, then clip,
+    normalize, cumsum and draw.  Also returns each record's CDF and draw."""
+    two_j = rho.two_j
+    u = record_uniforms(seed, 0, count, 3)
+    z = 2.0 * u[:, 0] - 1.0
+    az = 2.0 * np.pi * u[:, 1]
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    axes = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
+    p = np.clip(eigh_diagonals(rho.matrix, two_j, axes), 0.0, None)
+    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    draws = u[:, 2] * cdf[:, -1]
+    idx = np.minimum((cdf >= draws[:, None]).argmax(axis=1), two_j)
+    return axes, -two_j + 2 * idx, cdf, draws
+
+
+def table_targets(rng, two_j):
+    """The operators and states a harmonic table is built for."""
+    jx, jy, jz = spin.spin_matrices(two_j)
+    return {
+        "Jx": jx,
+        "Jy": jy,
+        "Jz": jz,
+        "spin-matrix": random_hermitian(rng, two_j + 1),
+        "mixed state": random_state(rng, two_j).matrix,
+    }
 
 
 class TestSpinMatrices:
@@ -312,14 +352,13 @@ class TestBatchKernel:
     def test_matches_scalar_kernel(self):
         rng = np.random.default_rng(83)
         rho = random_state(rng, 2)
-        _, _, jz = spin.spin_matrices(2)
         records = spin.sample_spin(rho, 64, seed=12)
-        kernel = spin.SpinOperatorKernel(jz)
-        batch = kernel.evaluate(records)
-        for r, value in zip(records, batch):
-            scalar = spin.kernel_spin_closed(jz, r["axis"], r["two_m"])
-            assert value == pytest.approx(scalar, abs=1e-12)
-            assert value.imag == 0.0
+        for matrix in table_targets(rng, 2).values():
+            batch = spin.SpinOperatorKernel(matrix).evaluate(records)
+            for r, value in zip(records, batch):
+                scalar = spin.kernel_spin_closed(matrix, r["axis"], r["two_m"])
+                assert value == pytest.approx(scalar, abs=1e-12)
+                assert value.imag == 0.0
 
     def test_rejects_foreign_records(self):
         from qtomo.homodyne import homodyne_records
@@ -327,6 +366,57 @@ class TestBatchKernel:
         kernel = spin.SpinOperatorKernel(np.eye(2, dtype=complex))
         with pytest.raises(TypeError, match="spin record"):
             kernel.evaluate(homodyne_records([0.0], [0.0]))
+
+
+class TestHarmonicTable:
+    """One table per spin state and observable, against the eigh oracle."""
+
+    @pytest.mark.parametrize("two_j", range(1, 9))
+    def test_matches_eigh_on_random_axes(self, two_j):
+        rng = np.random.default_rng(100 + two_j)
+        axes = random_axes(rng, 1000)
+        for name, matrix in table_targets(rng, two_j).items():
+            want = eigh_diagonals(matrix, two_j, axes)
+            got = spin._table_values(spin._harmonic_table(matrix), axes)
+            bound = 1e-12 * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound, name
+
+    def test_matches_eigh_at_two_j_40(self):
+        rng = np.random.default_rng(140)
+        rho = random_state(rng, 40)
+        axes = random_axes(rng, 1000)
+        want = eigh_diagonals(rho.matrix, 40, axes)
+        got = spin._table_values(spin._harmonic_table(rho.matrix), axes)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
+    def test_kernel_batch_and_single_records_are_bit_identical(self, two_j):
+        rng = np.random.default_rng(150 + two_j)
+        records = spin.sample_spin(random_state(rng, two_j), 200, seed=two_j)
+        for matrix in table_targets(rng, two_j).values():
+            kernel = spin.SpinOperatorKernel(matrix)
+            batch = kernel.evaluate(records)
+            alone = np.concatenate([kernel.evaluate(records[i : i + 1]) for i in range(200)])
+            assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
+    def test_sampler_batch_and_single_records_are_bit_identical(self, two_j, monkeypatch):
+        rho = random_state(np.random.default_rng(160 + two_j), two_j)
+        batch = spin.sample_spin(rho, 300, seed=17)
+        # one record per chunk: each record is drawn alone
+        monkeypatch.setattr(spin, "_SAMPLE_CHUNK", 1)
+        assert np.array_equal(spin.sample_spin(rho, 300, seed=17), batch)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 6])
+    def test_sampler_agrees_with_the_eigh_sampler(self, two_j):
+        rho = random_state(np.random.default_rng(170 + two_j), two_j)
+        records = spin.sample_spin(rho, 20_000, seed=19)
+        axes, two_m, cdf, draws = eigh_sampler(rho, 20_000, 19)
+        assert np.array_equal(records["axis"], axes)
+        moved = np.nonzero(records["two_m"] != two_m)[0]
+        # a record may move only where its draw lies within roundoff of a CDF edge
+        edge_gap = np.min(np.abs(cdf[moved] - draws[moved, None]), axis=1, initial=np.inf)
+        assert np.all(edge_gap <= 1e-12)
 
 
 class TestRecordIO:
