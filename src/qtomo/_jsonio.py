@@ -1,5 +1,5 @@
-"""JSON emission with fixed 17-significant-digit floats, JSONL record reading
-and the state file format shared by both quorums.
+"""JSON emission with fixed 17-significant-digit floats, JSONL record
+writing and reading and the state file format shared by both quorums.
 
 Every float written by the package round-trips bit-faithfully through its
 text form, so record and result files are stable artifacts.
@@ -7,18 +7,37 @@ text form, so record and result files are stable artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "RecordError", "format_float", "dumps", "check_rows", "check_batch",
-    "read_jsonl", "rows_at_lines", "complex_matrix", "save_state", "load_state",
+    "RecordError", "format_float", "dumps", "check_rows", "check_batch", "number",
+    "line_regex", "write_jsonl", "read_jsonl", "rows_at_lines", "complex_matrix",
+    "save_state", "load_state",
 ]
+
+# Lines per formatted chunk of a write and per block of a canonical read:
+# small enough that the tokens of a block leave no mark on the peak RSS of
+# a 100k-record run (8192 raised it by ~4 MB), large enough that the cost
+# per block does not show.
+_BLOCK_LINES = 256
+
+# What a line template's placeholders read back as: the float text that
+# format_float writes (a fraction or a signed exponent, so a JSON integer,
+# which json reads through int and so -0 as +0.0, takes the general reader)
+# and a JSON integer of at most 15 digits, exact as a float.
+_FIELD_GRAMMAR = {
+    "%.17g": r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+))",
+    "%d": r"(-?(?:0|[1-9][0-9]{0,14}))",
+}
 
 
 class RecordError(ValueError):
@@ -76,25 +95,115 @@ def check_batch(records, dtype: np.dtype, kind: str) -> None:
         raise TypeError(f"{kind} kernel requires a {kind} record batch")
 
 
-def read_jsonl(path, row, build):
+def number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a bool."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+@functools.cache
+def line_regex(template: str) -> re.Pattern:
+    """The anchored multiline bytes regex of the lines that :func:`write_jsonl`
+    writes from ``template``, one group per ``%.17g`` or ``%d`` placeholder;
+    compiled on first use, so a CLI start that reads no records skips it."""
+    parts = re.split(r"(%\.17g|%d)", template.rstrip("\n"))
+    body = "".join(_FIELD_GRAMMAR.get(part) or re.escape(part) for part in parts)
+    return re.compile(f"^{body}$".encode("ascii"), re.MULTILINE)
+
+
+def write_jsonl(path, template: str, columns) -> None:
+    """One line of ``template`` per row of the equal-length 1-d ``columns``.
+
+    Each ``%.17g`` placeholder takes the next float column and each ``%d`` the
+    next integer column; every float reads as :func:`format_float` writes it.
+    A non-finite float raises format_float's ValueError after the rows before
+    it are written.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(columns[0]), _BLOCK_LINES):
+            chunk = [column[start : start + _BLOCK_LINES] for column in columns]
+            floats = np.column_stack([column for column in chunk if column.dtype.kind == "f"])
+            bad = np.flatnonzero(~np.isfinite(floats).all(axis=1))
+            stop = bad[0] if bad.size else len(floats)
+            fh.write(_format_lines(template, [column[:stop] for column in chunk], floats[:stop]))
+            for x in floats[stop:stop + 1].flat:
+                format_float(x)
+
+
+def _format_lines(template: str, columns, floats: np.ndarray) -> str:
+    """The lines of ``template`` over ``columns`` by one ``%`` operation;
+    ``floats`` holds the float columns side by side, all finite."""
+    lines = [template] * len(floats)
+    # %.17g drops format_float's float marker from an integral value below
+    # 1e17 (and from -0.0); %.1f writes the same digits with the marker
+    marked = (np.trunc(floats) == floats) & (np.abs(floats) < 1e17)
+    pieces = template.split("%.17g")
+    for row in np.flatnonzero(marked.any(axis=1)).tolist():
+        specs = ["%.1f" if m else "%.17g" for m in marked[row].tolist()]
+        lines[row] = "".join(p + spec for p, spec in zip(pieces, specs)) + pieces[-1]
+    args = [None] * (len(floats) * len(columns))
+    for k, column in enumerate(columns):
+        args[k :: len(columns)] = column.tolist()
+    return "".join(lines) % tuple(args)
+
+
+def read_jsonl(path, row, build, regex=None):
     """``build`` of the flat float array of ``row(obj)`` over the nonblank lines.
 
-    ``row`` turns one JSON object into a tuple of numbers.  Any bad line, or
-    record that ``build`` rejects, raises RecordError at ``path:line``.
+    ``row`` turns one JSON object into a tuple of numbers.  If ``regex`` (of
+    :func:`line_regex`) matches every line of the file, each line ends in a
+    newline and every value is finite, the flat float array of its groups is
+    what ``row`` gives, and json is not called.  Any other file takes the
+    general per-line reader, the only source of parse errors: a bad line, or
+    a record that ``build`` rejects, raises RecordError at ``path:line``.
     """
+    values = _read_canonical(path, regex) if regex is not None else None
+    if values is None:
+        values = _read_lines(path, row)
+    with rows_at_lines(path):
+        return build(values)
+
+
+def _read_canonical(path, regex) -> np.ndarray | None:
+    """The flat float array of ``regex``'s groups over every line, or None
+    if a line does not match (a blank line, CRLF, another key order or
+    spacing), the file has no final newline or a value is not finite."""
     values = array("d")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        while block := b"".join(islice(fh, _BLOCK_LINES)):
+            rows = regex.findall(block)
+            # ``$`` also matches at the end of a block with no final
+            # newline, so a count check alone could pass one bad line there
+            if not block.endswith(b"\n") or len(rows) != block.count(b"\n"):
+                return None
+            # float() of the token text, the call json makes for a fraction
+            values.extend(map(float, chain.from_iterable(rows)))
+    values = np.frombuffer(values, dtype=float)
+    return values if np.isfinite(values).all() else None
+
+
+def _read_lines(path, row) -> np.ndarray:
+    values = array("d")
+    with _text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    # raises the UnicodeDecodeError of an escaped byte
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 values.extend(row(json.loads(line)))
             except KeyError as exc:
                 raise RecordError(f"{path}:{lineno}", f"missing field {exc}") from exc
             except (OverflowError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}", str(exc)) from exc
-    with rows_at_lines(path):
-        return build(np.frombuffer(values, dtype=float))
+    return np.frombuffer(values, dtype=float)
+
+
+def _text(path):
+    """``path`` opened as UTF-8 text whose undecodable bytes are lone surrogates."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 @contextmanager
@@ -107,7 +216,7 @@ def rows_at_lines(path):
     except RecordError as exc:
         if exc.row is None:
             raise
-        with open(path, "r", encoding="utf-8") as fh:
+        with _text(path) as fh:
             lines = [lineno for lineno, line in enumerate(fh, 1) if line.strip()]
         raise RecordError(f"{path}:{lines[exc.row]}", exc.reason) from exc
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from ._jsonio import check_batch, check_rows, format_float, load_state, read_jsonl, save_state
+from ._jsonio import (
+    check_batch, check_rows, line_regex, load_state, number, read_jsonl, save_state, write_jsonl,
+)
 from ._rng import record_uniforms
 
 __all__ = [
@@ -398,35 +400,36 @@ class PhotonNumberKernel:
         return estimator_photon_number(records).astype(complex)
 
 
+# The line shape the writer emits per convention; the reader's fast path
+# matches the Y shape, and an X file takes the general reader.
+_LINES = {"Y": '{"phi": %.17g, "y": %.17g}\n', "X": '{"phi": %.17g, "x": %.17g}\n'}
+
+
 def write_homodyne_records(records: np.ndarray, path, convention: str = "Y") -> None:
     """JSONL stream; the X convention stores x = y / sqrt(2) under key "x"."""
-    if convention not in ("Y", "X"):
+    if convention not in _LINES:
         raise ValueError("convention must be 'Y' or 'X'")
-    if convention == "Y":
-        key, outcome = "y", records["y"]
-    else:
-        key, outcome = "x", records["y"] / math.sqrt(2.0)
-    phis = records["phi"]
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(records), _SAMPLE_CHUNK):
-            stop = start + _SAMPLE_CHUNK
-            for phi, value in zip(phis[start:stop].tolist(), outcome[start:stop].tolist()):
-                fh.write(f'{{"phi": {format_float(phi)}, "{key}": {format_float(value)}}}\n')
+    outcome = records["y"] if convention == "Y" else records["y"] / math.sqrt(2.0)
+    write_jsonl(path, _LINES[convention], [records["phi"], outcome])
 
 
 def _row_from_json(obj) -> tuple[float, float]:
     if "y" in obj:
-        y = float(obj["y"])
+        y = number(obj["y"], "y")
     elif "x" in obj:
-        y = math.sqrt(2.0) * float(obj["x"])
+        y = math.sqrt(2.0) * number(obj["x"], "x")
     else:
         raise ValueError("record line is missing the outcome field")
-    return float(obj["phi"]), y
+    return number(obj["phi"], "phi"), y
+
+
+def _batch_from_rows(values: np.ndarray) -> np.ndarray:
+    return homodyne_records(*values.reshape(-1, 2).T)
 
 
 def read_homodyne_records(path) -> np.ndarray:
     """Record batch of a JSONL stream in either convention; errors name ``path:line``."""
-    return read_jsonl(path, _row_from_json, lambda v: homodyne_records(*v.reshape(-1, 2).T))
+    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINES["Y"]))
 
 
 def save_homodyne_state(rho: FockDensityMatrix, path) -> None:

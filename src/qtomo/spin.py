@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from ._jsonio import check_batch, check_rows, format_float, load_state, read_jsonl, save_state
+from ._jsonio import (
+    check_batch, check_rows, line_regex, load_state, number, read_jsonl, save_state, write_jsonl,
+)
 from ._rng import record_uniforms
 
 __all__ = [
@@ -362,14 +364,14 @@ class SpinOperatorKernel:
         return out
 
 
+# The one line shape the writer emits; the reader's fast path matches it.
+_LINE = '{"axis": [%.17g, %.17g, %.17g], "two_m": %d}\n'
+
+
 def write_spin_records(records: np.ndarray, path) -> None:
     """JSONL stream, one {"axis": [nx, ny, nz], "two_m": m} object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(records), _SAMPLE_CHUNK):
-            chunk = records[start : start + _SAMPLE_CHUNK]
-            for axis, two_m in zip(chunk["axis"].tolist(), chunk["two_m"].tolist()):
-                axis = ", ".join(format_float(c) for c in axis)
-                fh.write(f'{{"axis": [{axis}], "two_m": {two_m}}}\n')
+    axes = records["axis"]
+    write_jsonl(path, _LINE, [axes[:, 0], axes[:, 1], axes[:, 2], records["two_m"]])
 
 
 def _row_from_json(obj):
@@ -379,7 +381,7 @@ def _row_from_json(obj):
     if type(two_m) is not int or abs(two_m) > 2**53:
         raise ValueError(f"two_m must be an integer of magnitude at most 2**53, got {two_m!r}")
     nx, ny, nz = obj["axis"]
-    return float(nx), float(ny), float(nz), two_m
+    return number(nx, "axis[0]"), number(ny, "axis[1]"), number(nz, "axis[2]"), two_m
 
 
 def _batch_from_rows(values: np.ndarray) -> np.ndarray:
@@ -389,7 +391,7 @@ def _batch_from_rows(values: np.ndarray) -> np.ndarray:
 
 def read_spin_records(path) -> np.ndarray:
     """Record batch of a JSONL stream; errors name ``path:line``."""
-    return read_jsonl(path, _row_from_json, _batch_from_rows)
+    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE))
 
 
 def save_spin_state(rho: SpinDensityMatrix, path) -> None:
