@@ -47,25 +47,26 @@ u = rng.normal(size=2) + 1j * rng.normal(size=2)
 v = rng.normal(size=2) + 1j * rng.normal(size=2)
 u /= np.linalg.norm(u)
 v /= np.linalg.norm(v)
-coeff = groups.haar_integral_su2(lambda g: abs(u.conj() @ (g @ v)) ** 2, tol=1e-7).real
+# the integrand sees a stack of chart points g, shape (r, 2, 2)
+coeff = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2, tol=1e-7).real
 print("\nsquared matrix coefficient for spin 1/2:")
 print(f"  quadrature {coeff:.9f}   expected 8 pi^2 = {8.0 * math.pi ** 2:.9f}")
 
 # ----------------------------------------------------------------------
 # 4. The full orthogonality relation for random vector quadruples.
+#
+# Five quadruples at once: u1, u2, v1 and v2 are each a stack of shape
+# (5, 2j+1), and one call returns the five residuals.
 # ----------------------------------------------------------------------
 print("\northogonality relation residuals (random quadruples):")
 for two_j in (1, 2):
     dim = two_j + 1
-    worst = 0.0
     degree = groups.QuorumSpec.su2(two_j).formal_degree
-    for _ in range(5):
-        vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
-        u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
-        rhs = abs((u1.conj() @ u2) * (v2.conj() @ v1) / degree)
-        worst = max(worst, residual / (1.0 + rhs))
-    print(f"  two_j = {two_j}: worst relative residual {worst:.2e}")
+    vecs = rng.normal(size=(4, 5, dim)) + 1j * rng.normal(size=(4, 5, dim))
+    u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+    residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
+    rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
+    print(f"  two_j = {two_j}: worst relative residual {np.max(residual / (1.0 + rhs)):.2e}")
 
 # ----------------------------------------------------------------------
 # 5. Radial measures of the two quorum constructions.

@@ -67,7 +67,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
 def _require(cfg: dict, key: str, kind=None):
     if key not in cfg:
         raise ConfigError(f"config is missing required field {key!r}")
-    value = cfg[key]
+    return _checked(key, cfg[key], kind)
+
+
+def _checked(key: str, value, kind=None):
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"field {key!r} must be an integer")
     if kind is not None and not isinstance(value, kind):
@@ -99,7 +102,7 @@ def _spin_target_operator(cfg: dict, target: dict) -> np.ndarray:
     two_j = target.get("two_j", cfg.get("two_j"))
     if two_j is None:
         raise ConfigError("named spin operators need 'two_j' in the target or config")
-    return _named_spin_operator(name, int(two_j))
+    return _named_spin_operator(name, _checked("two_j", two_j, int))
 
 
 def _run_simulate_homodyne(cfg: dict) -> int:
@@ -224,16 +227,16 @@ def run_validation_suite(seed: int = 2024) -> dict:
 
     for two_j in (1, 2):
         dim = two_j + 1
-        worst = 0.0
         quads = [np.eye(dim, dtype=complex)[[0, 0, 0, 0]]]
         for _ in range(5):
             vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
             quads.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        # one stack per slot: u1, u2, v1, v2 each of shape (6, dim)
+        u1, u2, v1, v2 = np.stack(quads, axis=1)
+        residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
         degree = groups.QuorumSpec.su2(two_j).formal_degree
-        for u1, u2, v1, v2 in quads:
-            residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
-            rhs = abs((u1.conj() @ u2) * (v2.conj() @ v1) / degree)
-            worst = max(worst, residual / (1.0 + rhs))
+        rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
+        worst = float(np.max(residual / (1.0 + rhs)))
         add(f"orthogonality_two_j_{two_j}", worst, 0.0, worst, 1e-6)
 
     worst = 0.0
@@ -279,7 +282,7 @@ def run_validation_suite(seed: int = 2024) -> dict:
 
 
 def _run_validate(cfg: dict) -> int:
-    report = run_validation_suite(int(cfg.get("seed", 2024)))
+    report = run_validation_suite(_checked("seed", cfg.get("seed", 2024), int))
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         sys.stdout.write(

@@ -116,28 +116,53 @@ def su2_exponential(t: float, axis) -> np.ndarray:
     return math.cos(t / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(t / 2.0) * n_sigma
 
 
-def _haar_level(f: Callable[[np.ndarray], complex], sphere_order: int, radial_panels: int) -> complex:
+# sphere nodes per block, or (quadruple, node) rows in the orthogonality
+# oracle: there one block's (row, radial node) slab is 0.5 MB at the finest level
+_NODE_BLOCK = 256
+
+
+def _radial_sums(f, n_sigma: np.ndarray, t: np.ndarray, t_w: np.ndarray) -> np.ndarray:
+    """f at the chart points cos(t/2) I + i sin(t/2) (n . sigma) of a block of
+    sphere nodes, node-major, summed over the radial rule at each node."""
+    stack = 1j * np.sin(t / 2.0)[:, None, None] * n_sigma[:, None]
+    stack += np.cos(t / 2.0)[:, None, None] * np.eye(2)
+    stack = stack.reshape(-1, 2, 2)
+    values = np.asarray(f(stack), dtype=complex)
+    if values.shape == ():
+        values = np.broadcast_to(values, (len(stack),))
+    elif values.shape != (len(stack),):
+        raise ValueError(
+            f"integrand returned shape {values.shape} for a stack of {len(stack)} "
+            "matrices; it must return one value per matrix or a scalar"
+        )
+    return values.reshape(len(n_sigma), -1) @ t_w
+
+
+def _haar_level(f: Callable[[np.ndarray], np.ndarray], sphere_order: int, radial_panels: int) -> complex:
     axes, sphere_w = sphere_rule(sphere_order)
     t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
-    cos_half = np.cos(t / 2.0)[:, None, None]
-    i_sin_half = 1j * np.sin(t / 2.0)[:, None, None]
-    eye = np.eye(2, dtype=complex)
-    total = 0.0 + 0.0j
-    # one sphere node at a time: its radial stack of chart points, then f on each
-    for n_sigma, w_n in zip(np.tensordot(axes, _SIGMA, axes=1), sphere_w):
-        stack = cos_half * eye + i_sin_half * n_sigma
-        values = np.array([complex(f(g)) for g in stack])
-        total += w_n * (t_w @ values)
-    return 4.0 * math.pi * total
+    n_sigma = np.tensordot(axes, _SIGMA, axes=1)
+    radial = np.concatenate(
+        [
+            _radial_sums(f, n_sigma[lo : lo + _NODE_BLOCK], t, t_w)
+            for lo in range(0, len(axes), _NODE_BLOCK)
+        ]
+    )
+    # accumulated one node at a time in node order, as the pointwise rule sums
+    return 4.0 * math.pi * complex(np.cumsum(sphere_w * radial)[-1])
 
 
-def haar_integral_su2(f: Callable[[np.ndarray], complex], tol: float = 1e-6) -> complex:
+def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-6) -> complex:
     """Haar integral over SU(2), normalized so the total volume is 16 pi^2.
 
     Integrates through the exponential chart of radius 2 pi with the radial
     weight 4 sin^2(t/2), refining the product grid (radial panels, polar
     order, azimuth count) until two levels agree within ``tol``.
+
+    ``f`` is called on stacks of chart points, shape (r, 2, 2), and returns
+    r values, or one scalar that holds at every point; any other shape
+    raises ValueError.
     """
     prev = None
     for sphere_order, radial_panels in ((16, 2), (24, 4), (48, 8), (96, 16)):
@@ -148,51 +173,69 @@ def haar_integral_su2(f: Callable[[np.ndarray], complex], tol: float = 1e-6) -> 
     raise QuadratureError((prev, cur), tol)
 
 
-def _ortho_level(
-    two_j: int,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    sphere_order: int,
-    radial_panels: int,
-) -> complex:
+def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
+    """c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m, the
+    conjugate of the same product for (u2, v2), with W the eigenbasis of J_n
+    at each axis; one row per (quadruple, node)."""
+    u1, u2, v1, v2 = quads
+    _, vectors = axis_eigh(two_j, axes)
+    w_h = vectors.conj()
+    c1 = np.einsum("rnm,kn->krm", vectors, u1.conj())
+    c1 *= np.einsum("rnm,kn->krm", w_h, v1)
+    c2 = np.einsum("rnm,kn->krm", w_h, u2)
+    c2 *= np.einsum("rnm,kn->krm", vectors, v2.conj())
+    return c1.reshape(-1, two_j + 1), c2.reshape(-1, two_j + 1)
+
+
+def _ortho_level(two_j: int, quads, sphere_order: int, radial_panels: int) -> np.ndarray:
     axes, sphere_w = sphere_rule(sphere_order)
     t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
     t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
-    phases = np.exp(1j * np.outer(t, m_values))  # (t, m)
-    _, vectors = axis_eigh(two_j, axes)
-    # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m per sphere node
-    cu1 = np.einsum("rnm,n->rm", vectors, u1.conj())
-    cu2 = np.einsum("rnm,n->rm", vectors, u2.conj())
-    wv1 = np.einsum("rnm,n->rm", vectors.conj(), v1)
-    wv2 = np.einsum("rnm,n->rm", vectors.conj(), v2)
-    c1 = cu1 * wv1
-    c2 = cu2 * wv2
-    m1 = phases @ c1.T  # (t, r): u1^H U v1 at each radial node and axis
-    m2 = phases @ c2.T
-    radial = t_w @ (m1 * m2.conj())
-    return 4.0 * math.pi * complex(sphere_w @ radial)
+    phases = np.exp(1j * np.outer(m_values, t))  # (m, t)
+    conj_phases = phases.conj()
+    # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m at each chart point,
+    # summed over t for a block of (quadruple, node) rows at a time
+    c1, c2 = _coefficients(two_j, axes, quads)
+    radial = np.empty(len(c1), dtype=complex)
+    for lo in range(0, len(c1), _NODE_BLOCK):
+        hi = lo + _NODE_BLOCK
+        m = c1[lo:hi] @ phases  # (rows, t): u1^H U v1 at each radial node
+        m *= c2[lo:hi] @ conj_phases
+        radial[lo:hi] = m @ t_w
+    return 4.0 * math.pi * (radial.reshape(-1, len(axes)) @ sphere_w)
 
 
-def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float:
+def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
     """Distance between the Haar integral of matrix coefficients and its
     closed form (1/d) <u1, u2> <v2, v1> with d the formal degree.
 
-    The left side is evaluated by chart quadrature on two refinement levels,
-    which must agree to 1e-8 relative or the quadrature is reported as
-    non-convergent.
+    Each vector has shape (2j+1,), giving one float, or all four are stacks
+    of k quadruples, shape (k, 2j+1), giving k residuals.  The left side is
+    evaluated by chart quadrature on two refinement levels, which must agree
+    to 1e-8 relative for every quadruple or the first that does not is
+    reported as non-convergent.
     """
     dim = two_j + 1
-    u1, u2, v1, v2 = (np.asarray(v, dtype=complex) for v in (u1, u2, v1, v2))
-    for vec in (u1, u2, v1, v2):
-        if vec.shape != (dim,):
+    vecs = [np.asarray(v, dtype=complex) for v in (u1, u2, v1, v2)]
+    for vec in vecs:
+        if vec.ndim not in (1, 2) or vec.shape[-1] != dim:
             raise ValueError(f"vectors must have dimension {dim}")
-    lhs_coarse = _ortho_level(two_j, u1, u2, v1, v2, 16, 4)
-    lhs = _ortho_level(two_j, u1, u2, v1, v2, 24, 8)
-    if abs(lhs - lhs_coarse) > 1e-8 * (1.0 + abs(lhs)):
-        raise QuadratureError((lhs_coarse, lhs), 1e-8)
+        if vec.shape != vecs[0].shape:
+            raise ValueError("u1, u2, v1 and v2 must stack the same number of vectors")
+    quads = u1, u2, v1, v2 = [np.atleast_2d(vec) for vec in vecs]
+    lhs_coarse = _ortho_level(two_j, quads, 16, 4)
+    lhs = _ortho_level(two_j, quads, 24, 8)
+    failed = np.flatnonzero(np.abs(lhs - lhs_coarse) > 1e-8 * (1.0 + np.abs(lhs)))
+    if failed.size:
+        k = failed[0]
+        estimates = (complex(lhs_coarse[k]), complex(lhs[k]))
+        raise QuadratureError(
+            estimates,
+            1e-8,
+            f"quadruple {k}: quadrature did not converge to 1.0e-08: last estimates {estimates}",
+        )
     degree = QuorumSpec.su2(two_j).formal_degree
-    rhs = (u1.conj() @ u2) * (v2.conj() @ v1) / degree
-    return float(abs(lhs - rhs))
+    rhs = np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree
+    residual = np.abs(lhs - rhs)
+    return float(residual[0]) if vecs[0].ndim == 1 else residual

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtomo import cli, homodyne, numerics, spin
+from qtomo import cli, groups, homodyne, numerics, spin
 from qtomo._jsonio import dumps
 
 
@@ -128,6 +128,26 @@ class TestRoundTrip:
         result = json.loads((tmp_path / "result.json").read_text())
         assert abs(result["mean"][0] - 0.5) <= 4.0 * result["stderr"][0]
 
+    @pytest.mark.parametrize("two_j", [2.9, True], ids=["float", "bool"])
+    def test_named_operator_rejects_non_integer_two_j(self, tmp_path, capsys, two_j):
+        state = tmp_path / "state.json"
+        spin.save_spin_state(spin.maximally_mixed(2), state)
+        payload = {
+            "seed": 5,
+            "count": 50,
+            "state_path": str(state),
+            "records_path": str(tmp_path / "records.jsonl"),
+            "target": {"type": "spin-operator", "name": "Jz", "two_j": two_j},
+        }
+        config = write_config(tmp_path, "run.json", payload)
+        assert cli.main(["simulate-spin", "--config", config]) == 0
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "config"
+        assert "'two_j'" in err["message"]
+
     def test_worker_env_var_never_changes_results(
         self, tmp_path, vacuum_state_path, capsys, monkeypatch
     ):
@@ -213,6 +233,28 @@ class TestValidate:
         assert report["passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert {"haar_volume", "su2_jacobian_identity", "omega_normalization"} <= names
+
+    def test_suite_takes_one_eigenbasis_per_orthogonality_level(self, monkeypatch):
+        calls = []
+        eigh = groups.axis_eigh
+
+        def counted(two_j, axes):
+            calls.append((two_j, len(axes)))
+            return eigh(two_j, axes)
+
+        monkeypatch.setattr(groups, "axis_eigh", counted)
+        assert cli.run_validation_suite()["passed"] is True
+        assert calls == [(1, 512), (1, 1152), (2, 512), (2, 1152)]
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "string"])
+    def test_rejects_non_integer_seed(self, tmp_path, capsys, seed):
+        config = write_config(tmp_path, "validate.json", {"seed": seed})
+        assert cli.main(["validate", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "config"
+        assert "'seed'" in err["message"]
 
 
 class TestErrors:

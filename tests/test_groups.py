@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestHaarIntegral:
         assert abs(volume.imag) <= 1e-9
 
     def test_matrix_element_integrates_to_zero(self):
-        value = groups.haar_integral_su2(lambda g: g[0, 0], tol=1e-8)
+        value = groups.haar_integral_su2(lambda g: g[..., 0, 0], tol=1e-8)
         assert abs(value) <= 1e-6
 
     def test_squared_coefficient_matches_formal_degree(self):
@@ -102,14 +103,15 @@ class TestHaarIntegral:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        value = groups.haar_integral_su2(lambda g: abs(u.conj() @ (g @ v)) ** 2, tol=1e-7)
+        value = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2, tol=1e-7)
         assert value.real == pytest.approx(8.0 * math.pi**2, rel=1e-6)
 
     def test_level_matches_pointwise_reference(self):
         # the per-point loop the stacked level replaced, summed in the same
         # node order; only the radial summation order differs
+        # f takes one chart point or a stack of them
         u = np.array([0.6, 0.8j])
-        f = lambda g: (u.conj() @ g @ u) * g[1, 0] + np.trace(g) ** 2
+        f = lambda g: ((g @ u) @ u.conj()) * g[..., 1, 0] + np.trace(g, axis1=-2, axis2=-1) ** 2
         axes, sphere_w = numerics.sphere_rule(16)
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
@@ -119,6 +121,30 @@ class TestHaarIntegral:
             want += w_n * acc
         got = groups._haar_level(f, 16, 2)
         assert abs(got - 4.0 * math.pi * want) <= 1e-12 * abs(4.0 * math.pi * want)
+
+    @pytest.mark.parametrize("sphere_order, radial_panels", [(16, 2), (24, 4)])
+    def test_constant_is_summed_node_by_node(self, sphere_order, radial_panels):
+        # the levels `validate` takes: nodes accumulate one at a time in node
+        # order, so the chart volume keeps its digits; a pairwise sum over the
+        # nodes moves it by 2e-15 and 1.5e-14 relative
+        axes, sphere_w = numerics.sphere_rule(sphere_order)
+        t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, radial_panels)
+        t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+        want = 0.0 + 0.0j
+        for w_n in sphere_w:
+            want += w_n * (t_w @ np.ones(len(t), dtype=complex))
+        want *= 4.0 * math.pi
+        got = groups._haar_level(lambda g: 1.0, sphere_order, radial_panels)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda g: g[0, 0], lambda g: g[..., 0], lambda g: np.ones(3)],
+        ids=["per-matrix", "one-row-per-matrix", "fixed-length"],
+    )
+    def test_rejects_integrand_of_wrong_shape(self, f):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            groups.haar_integral_su2(f)
 
     def test_exponential_chart_element(self):
         g = groups.su2_exponential(0.0, (0.0, 0.0, 1.0))
@@ -162,7 +188,7 @@ class TestOrthogonality:
     def test_agrees_with_generic_haar_oracle(self):
         # same integral through the generic 2x2-matrix surface
         e0 = np.array([1.0, 0.0], dtype=complex)
-        via_haar = groups.haar_integral_su2(lambda g: abs(g[0, 0]) ** 2, tol=1e-7)
+        via_haar = groups.haar_integral_su2(lambda g: abs(g[..., 0, 0]) ** 2, tol=1e-7)
         degree = groups.QuorumSpec.su2(1).formal_degree
         assert via_haar.real == pytest.approx(1.0 / degree * 1.0, rel=1e-6)
         residual = groups.orthogonality_residual(1, e0, e0, e0, e0)
@@ -172,3 +198,71 @@ class TestOrthogonality:
         e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="dimension"):
             groups.orthogonality_residual(1, e0, e0, e0, e0)
+
+
+def validate_quadruples(two_j, seed=2024):
+    """The six quadruples ``qtomo validate`` checks for ``two_j``: a basis
+    quadruple, then five random unit quadruples; each slot of shape (6, dim)."""
+    rng = np.random.default_rng(seed)
+    dim = two_j + 1
+    quads = [np.eye(dim, dtype=complex)[[0, 0, 0, 0]]]
+    for _ in range(5):
+        vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+        quads.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+    return np.stack(quads, axis=1)
+
+
+class TestStackedOrthogonality:
+    @pytest.mark.parametrize("two_j", [1, 2])
+    def test_stack_matches_one_quadruple_calls(self, two_j):
+        u1, u2, v1, v2 = validate_quadruples(two_j)
+        degree = groups.QuorumSpec.su2(two_j).formal_degree
+        stacked = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
+        assert stacked.shape == (6,)
+        for k in range(6):
+            single = groups.orthogonality_residual(two_j, u1[k], u2[k], v1[k], v2[k])
+            assert isinstance(single, float)
+            rhs = abs((u1[k].conj() @ u2[k]) * (v2[k].conj() @ v1[k]) / degree)
+            assert abs(stacked[k] - single) <= 1e-14 * (1.0 + rhs)
+
+    def test_one_eigenbasis_per_level(self, monkeypatch):
+        calls = []
+        eigh = groups.axis_eigh
+
+        def counted(two_j, axes):
+            calls.append(len(axes))
+            return eigh(two_j, axes)
+
+        monkeypatch.setattr(groups, "axis_eigh", counted)
+        groups.orthogonality_residual(2, *validate_quadruples(2))
+        assert calls == [512, 1152]
+
+    def test_traced_peak_stays_small(self):
+        quadruples = validate_quadruples(2)
+        tracemalloc.start()
+        try:
+            groups.orthogonality_residual(2, *quadruples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_names_the_first_quadruple_that_does_not_converge(self, monkeypatch):
+        level = groups._ortho_level
+
+        def perturbed(two_j, quads, sphere_order, radial_panels):
+            lhs = level(two_j, quads, sphere_order, radial_panels)
+            if sphere_order == 24:
+                lhs[[2, 4]] += 1e-6
+            return lhs
+
+        monkeypatch.setattr(groups, "_ortho_level", perturbed)
+        with pytest.raises(numerics.QuadratureError, match="^quadruple 2: ") as info:
+            groups.orthogonality_residual(1, *validate_quadruples(1))
+        coarse, fine = info.value.estimates
+        assert abs(fine - coarse) == pytest.approx(1e-6, rel=1e-3)
+
+    def test_rejects_stacks_of_different_lengths(self):
+        u1, u2, v1, v2 = validate_quadruples(1)
+        with pytest.raises(ValueError, match="same number"):
+            groups.orthogonality_residual(1, u1, u2[:5], v1, v2)
