@@ -22,7 +22,7 @@ jx, jy, jz = spin.spin_matrices(TWO_J)
 print(f"random pure spin-{TWO_J / 2:.0f} state")
 for name, op in (("Jx", jx), ("Jy", jy), ("Jz", jz)):
     truth = float(np.trace(op @ rho.matrix).real)
-    exact = spin.exact_reconstruction(rho, op, sphere_order=16)
+    exact = spin.exact_reconstruction(rho, op)
     print(f"  <{name}>: exact reconstruction {exact:+.12f}   trace {truth:+.12f}")
 
 # --- a look at the estimator kernel itself --------------------------------

@@ -221,9 +221,18 @@ def rows_at_lines(path):
         raise RecordError(f"{path}:{lines[exc.row]}", exc.reason) from exc
 
 
-def complex_matrix(rows) -> np.ndarray:
-    """A complex matrix from its JSON form ``[[[re, im], ...], ...]``."""
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def complex_matrix(rows, name: str = "matrix") -> np.ndarray:
+    """A complex matrix from its JSON form ``[[[re, im], ...], ...]`` of JSON
+    numbers; a ValueError names a bad entry as ``name[i][k]``."""
+
+    def entry(where, pair):
+        re, im = pair
+        return complex(number(re, where), number(im, where))
+
+    return np.array(
+        [[entry(f"{name}[{i}][{k}]", z) for k, z in enumerate(row)] for i, row in enumerate(rows)],
+        dtype=complex,
+    )
 
 
 def save_state(path, key: str, size: int, matrix: np.ndarray) -> None:
@@ -233,6 +242,10 @@ def save_state(path, key: str, size: int, matrix: np.ndarray) -> None:
 
 
 def load_state(path, key: str) -> tuple[int, np.ndarray]:
-    """``(size, matrix)`` of a state file written by :func:`save_state`."""
+    """``(size, matrix)`` of a state file written by :func:`save_state`; a
+    ValueError names a size that is not a JSON integer or a bad ``rho`` entry."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return int(obj[key]), complex_matrix(obj["rho"])
+    size = obj[key]
+    if type(size) is not int:
+        raise ValueError(f"state field {key!r} must be an integer, got {size!r}")
+    return size, complex_matrix(obj["rho"], "rho")

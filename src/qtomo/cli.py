@@ -52,13 +52,14 @@ def _merged_config(args: argparse.Namespace) -> dict:
     mode = cfg.get("mode")
     if mode is not None and mode != args.mode:
         raise ConfigError(f"config mode {mode!r} does not match subcommand {args.mode!r}")
+    if "cutoff" in cfg:
+        raise ConfigError("field 'cutoff' is not supported: kernel cutoffs come from (n, l)")
     cfg["mode"] = args.mode
-    for key in ("seed", "count"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            cfg[key] = value
-    for flag, key in (("state", "state_path"), ("records", "records_path"), ("output", "output_path")):
-        value = getattr(args, flag, None)
+    for flag, key in (
+        ("seed", "seed"), ("count", "count"),
+        ("state", "state_path"), ("records", "records_path"), ("output", "output_path"),
+    ):
+        value = getattr(args, flag)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -142,15 +143,15 @@ def _run_reconstruct(cfg: dict) -> int:
     if kind in ("matrix-element", "photon-number"):
         records = homodyne.read_homodyne_records(records_path)
         if kind == "matrix-element":
-            kernel = homodyne.MatrixElementKernel(
-                int(_require(target, "n", int)), int(_require(target, "l", int)),
-                cfg.get("cutoff"),
-            )
+            n, l = _require(target, "n", int), _require(target, "l", int)
+            kernel = homodyne.MatrixElementKernel(n, l)
         else:
             kernel = homodyne.PhotonNumberKernel()
     else:
         records = spin.read_spin_records(records_path)
         kernel = spin.SpinOperatorKernel(_spin_target_operator(cfg, target))
+    if len(records) == 0:
+        raise RecordError(records_path, "file holds no records")
     with rows_at_lines(records_path):
         result = mc.reconstruct(records, kernel)
     payload = {
@@ -179,9 +180,8 @@ def _run_kernel_export(cfg: dict) -> int:
     xs = np.linspace(lo, hi, points)
     rows = []
     if kind == "matrix-element":
-        n = int(_require(target, "n", int))
-        l = int(_require(target, "l", int))
-        values = homodyne.kernel_matrix_element(n, l, xs, cfg.get("cutoff"))
+        n, l = _require(target, "n", int), _require(target, "l", int)
+        values = homodyne.kernel_matrix_element(n, l, xs)
         rows.extend(zip(xs, values.real, values.imag))
     elif kind == "photon-number":
         for x in xs:
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         return _fail("file", f"{exc.strerror}: {exc.filename}")
     except numerics.QuadratureError as exc:
         return _fail("quadrature", str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return _fail("config", f"{type(exc).__name__}: {exc}")
 
 

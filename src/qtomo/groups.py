@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,6 +121,28 @@ def su2_exponential(t: float, axis) -> np.ndarray:
 # oracle: there one block's (row, radial node) slab is 0.5 MB at the finest level
 _NODE_BLOCK = 256
 
+def _chart_ladder(level, tol: float, relative: bool, what: str | None = None) -> np.ndarray:
+    """Chart integrals ``level(axes, sphere_w, t, t_w)`` on each level's rule,
+    ``sphere_rule(order)`` x ``panel_rule`` on [0, 2 pi] with weights times 4
+    sin^2(t/2), until two levels agree within ``tol`` (times 1 + |value| if
+    ``relative``) in every component; else QuadratureError with the last two
+    estimates of the first that did not, named ``what k`` if ``what`` is given."""
+    prev = cur = None
+    for sphere_order, radial_panels in ((16, 2), (24, 4), (48, 8), (96, 16)):
+        axes, sphere_w = sphere_rule(sphere_order)
+        t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
+        t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+        prev, cur = cur, np.atleast_1d(level(axes, sphere_w, t, t_w))
+        if prev is not None:
+            bound = tol * (1.0 + np.abs(cur)) if relative else tol
+            failed = np.flatnonzero(np.abs(cur - prev) > bound)
+            if not failed.size:
+                return cur
+    k = failed[0]
+    estimates = (complex(prev[k]), complex(cur[k]))
+    message = f"quadrature did not converge to {tol:.1e}: last estimates {estimates}"
+    raise QuadratureError(estimates, tol, f"{what} {k}: {message}" if what else None)
+
 
 def _radial_sums(f, n_sigma: np.ndarray, t: np.ndarray, t_w: np.ndarray) -> np.ndarray:
     """f at the chart points cos(t/2) I + i sin(t/2) (n . sigma) of a block of
@@ -138,10 +161,7 @@ def _radial_sums(f, n_sigma: np.ndarray, t: np.ndarray, t_w: np.ndarray) -> np.n
     return values.reshape(len(n_sigma), -1) @ t_w
 
 
-def _haar_level(f: Callable[[np.ndarray], np.ndarray], sphere_order: int, radial_panels: int) -> complex:
-    axes, sphere_w = sphere_rule(sphere_order)
-    t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
-    t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+def _haar_level(f: Callable[[np.ndarray], np.ndarray], axes, sphere_w, t, t_w) -> complex:
     n_sigma = np.tensordot(axes, _SIGMA, axes=1)
     radial = np.concatenate(
         [
@@ -157,20 +177,14 @@ def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-6) 
     """Haar integral over SU(2), normalized so the total volume is 16 pi^2.
 
     Integrates through the exponential chart of radius 2 pi with the radial
-    weight 4 sin^2(t/2), refining the product grid (radial panels, polar
-    order, azimuth count) until two levels agree within ``tol``.
+    weight 4 sin^2(t/2), climbing the chart ladder of product rules until two
+    levels agree within ``tol``.
 
     ``f`` is called on stacks of chart points, shape (r, 2, 2), and returns
     r values, or one scalar that holds at every point; any other shape
     raises ValueError.
     """
-    prev = None
-    for sphere_order, radial_panels in ((16, 2), (24, 4), (48, 8), (96, 16)):
-        cur = _haar_level(f, sphere_order, radial_panels)
-        if prev is not None and abs(cur - prev) <= tol:
-            return complex(cur)
-        prev = cur
-    raise QuadratureError((prev, cur), tol)
+    return complex(_chart_ladder(partial(_haar_level, f), tol, relative=False)[0])
 
 
 def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +201,7 @@ def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.n
     return c1.reshape(-1, two_j + 1), c2.reshape(-1, two_j + 1)
 
 
-def _ortho_level(two_j: int, quads, sphere_order: int, radial_panels: int) -> np.ndarray:
-    axes, sphere_w = sphere_rule(sphere_order)
-    t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
-    t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+def _ortho_level(two_j: int, quads, axes, sphere_w, t, t_w) -> np.ndarray:
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     phases = np.exp(1j * np.outer(m_values, t))  # (m, t)
     conj_phases = phases.conj()
@@ -211,10 +222,10 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
     closed form (1/d) <u1, u2> <v2, v1> with d the formal degree.
 
     Each vector has shape (2j+1,), giving one float, or all four are stacks
-    of k quadruples, shape (k, 2j+1), giving k residuals.  The left side is
-    evaluated by chart quadrature on two refinement levels, which must agree
-    to 1e-8 relative for every quadruple or the first that does not is
-    reported as non-convergent.
+    of k quadruples, shape (k, 2j+1), giving k residuals.  The left side
+    climbs the chart ladder of :func:`haar_integral_su2` until two levels
+    agree to 1e-8 relative for every quadruple, as they do at two_j = 16, 20,
+    30, 40 and 41; otherwise QuadratureError names the first that did not.
     """
     dim = two_j + 1
     vecs = [np.asarray(v, dtype=complex) for v in (u1, u2, v1, v2)]
@@ -224,17 +235,7 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
         if vec.shape != vecs[0].shape:
             raise ValueError("u1, u2, v1 and v2 must stack the same number of vectors")
     quads = u1, u2, v1, v2 = [np.atleast_2d(vec) for vec in vecs]
-    lhs_coarse = _ortho_level(two_j, quads, 16, 4)
-    lhs = _ortho_level(two_j, quads, 24, 8)
-    failed = np.flatnonzero(np.abs(lhs - lhs_coarse) > 1e-8 * (1.0 + np.abs(lhs)))
-    if failed.size:
-        k = failed[0]
-        estimates = (complex(lhs_coarse[k]), complex(lhs[k]))
-        raise QuadratureError(
-            estimates,
-            1e-8,
-            f"quadruple {k}: quadrature did not converge to 1.0e-08: last estimates {estimates}",
-        )
+    lhs = _chart_ladder(partial(_ortho_level, two_j, quads), 1e-8, relative=True, what="quadruple")
     degree = QuorumSpec.su2(two_j).formal_degree
     rhs = np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree
     residual = np.abs(lhs - rhs)

@@ -51,8 +51,9 @@ __all__ = [
 # test suite) and frozen here.
 PHASE_SIGN = +1
 
-DEFAULT_TAIL_TOL = 1e-8
+TAIL_TOL = 1e-8
 CDF_TOL = 1e-4
+KERNEL_TOL = 1e-10
 
 _BASE_INTERVALS = 2048
 _SAMPLE_CHUNK = 8192
@@ -64,20 +65,19 @@ HOMODYNE_DTYPE = np.dtype([("phi", np.float64), ("y", np.float64)])
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Density matrix on the truncated Fock basis {0 .. n_max}."""
+    """Density matrix on the truncated Fock basis {0 .. n_max}, tail mass <= TAIL_TOL."""
 
     n_max: int
     matrix: np.ndarray
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         m = numerics.density_matrix(self.matrix, self.n_max + 1)
         tail = float(m[-1, -1].real)
-        if tail > self.tail_tol:
+        if tail > TAIL_TOL:
             raise ValueError(
-                f"tail mass <n_max|rho|n_max> = {tail:.3e} exceeds {self.tail_tol:.1e}; "
+                f"tail mass <n_max|rho|n_max> = {tail:.3e} exceeds {TAIL_TOL:.1e}; "
                 "increase n_max"
             )
         object.__setattr__(self, "matrix", m)
@@ -304,17 +304,17 @@ def _kernel_envelope(n: int, l: int, t: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix_element(
-    n: int, l: int, y: float | np.ndarray, cutoff: float | None = None, tol: float = 1e-10
+    n: int, l: int, y: float | np.ndarray, cutoff: float | None = None, tol: float = KERNEL_TOL
 ) -> complex | np.ndarray:
     """Phase-free kernel factor K_{n,l}(y) of the matrix-element estimator.
 
     The full estimator for the element (n+l, n) is e^{i l phi} K_{n,l}(y),
     with K_{n,l}(y) = (-i)^l times the integral of e^{i y t} times the
-    normalized envelope over [0, ``cutoff``]; the envelope carries the
-    factor sqrt(n!/(n+l)!) 2^(-l/2), so ``tol`` bounds the error of K itself
-    for every n + l <= 200.  Past :func:`default_kernel_cutoff` the envelope
-    is below 1e-10.  ``y`` is a scalar (complex result) or a 1-d array of
-    outcomes (one value each), integrated by
+    normalized envelope over [0, ``cutoff``], by default
+    :func:`default_kernel_cutoff`, past which the envelope is below 1e-10; the
+    envelope carries the factor sqrt(n!/(n+l)!) 2^(-l/2), so ``tol`` bounds the
+    error of K itself for every n + l <= 200.  ``y`` is a scalar (complex
+    result) or a 1-d array of outcomes (one value each), integrated by
     :func:`numerics.integrate_oscillatory` on its one refinement ladder.
     Outcomes that share a panel count refine together until all settle, so
     a value from an array call can differ, within ``tol``, from the value of
@@ -343,47 +343,37 @@ class MatrixElementKernel:
     """Batch estimator kernel for one density-matrix element (n+l, n).
 
     The element (n, l) with l < 0 is the conjugate of (n+l, -l), so both
-    evaluate K of the base pair (n, |l|).  On the first :meth:`evaluate`
-    that needs it, the kernel tabulates K once on [-Y, Y], Y =
-    :func:`default_kernel_cutoff`, as a Chebyshev interpolant built by
-    :func:`numerics.chebyshev_fit` from :func:`kernel_matrix_element`
-    values: its degree doubles from 16 until it matches the quadrature
-    within ``tol`` at the new points of the next level.  Every outcome with
-    |y| <= Y takes its value from the table, a pure function of (n, l, y);
-    only outcomes past Y go through the quadrature, where a batch value can
-    differ within ``tol`` from the same outcome evaluated alone.
+    evaluate K of the base pair (n, |l|), with Y = :func:`default_kernel_cutoff`
+    of that pair as the cutoff of its integral and the half-width of its
+    table.  The first :meth:`evaluate` that needs the table builds it once: a
+    Chebyshev interpolant of :func:`kernel_matrix_element` on [-Y, Y] by
+    :func:`numerics.chebyshev_fit`, within KERNEL_TOL of the quadrature.  Every
+    outcome with |y| <= Y takes its value from the table, a pure function of
+    (n, l, y); only outcomes past Y go through the quadrature, where a batch
+    value can differ within KERNEL_TOL from the same outcome evaluated alone.
     """
 
-    def __init__(self, n: int, l: int, cutoff: float | None = None, tol: float = 1e-10):
+    def __init__(self, n: int, l: int):
         if n < 0 or n + l < 0:
             raise ValueError("indices must satisfy n >= 0 and n + l >= 0")
         self.n, self.l = n, l
-        base_n, base_l = (n, l) if l >= 0 else (n + l, -l)
-        self._base = (base_n, base_l)
-        self._y_max = default_kernel_cutoff(base_n, base_l)
-        self._cutoff = cutoff if cutoff is not None else self._y_max
-        self._tol = tol
+        self._base = (n, l) if l >= 0 else (n + l, -l)
+        self._y_max = default_kernel_cutoff(*self._base)
         self._table = None
 
     def _kernel_values(self, y: np.ndarray) -> np.ndarray:
         """K of the base pair at each outcome: the table inside [-Y, Y], the
         quadrature outside."""
-        base_n, base_l = self._base
         inside = np.abs(y) <= self._y_max
         values = np.empty(y.shape, dtype=complex)
         if inside.any():
             if self._table is None:
                 self._table = numerics.chebyshev_fit(
-                    lambda x: kernel_matrix_element(
-                        base_n, base_l, self._y_max * x, self._cutoff, self._tol
-                    ),
-                    self._tol,
+                    lambda x: kernel_matrix_element(*self._base, self._y_max * x), KERNEL_TOL
                 )
             values[inside] = np.polynomial.chebyshev.chebval(y[inside] / self._y_max, self._table)
         if not inside.all():
-            values[~inside] = kernel_matrix_element(
-                base_n, base_l, y[~inside], self._cutoff, self._tol
-            )
+            values[~inside] = kernel_matrix_element(*self._base, y[~inside])
         return values
 
     def evaluate(self, records: np.ndarray) -> np.ndarray:

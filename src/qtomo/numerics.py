@@ -81,12 +81,13 @@ def hermitian_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """``m`` as a complex array; NonHermitianError if its asymmetry exceeds ``tol``."""
+def require_hermitian(m) -> np.ndarray:
+    """``m`` as a complex array; NonHermitianError if its asymmetry exceeds HERMITIAN_TOL."""
     m = np.asarray(m, dtype=complex)
     asym = hermitian_asymmetry(m)
-    if asym > tol:
-        raise NonHermitianError(asym, tol)
+    # written so that a NaN or infinite entry, whose asymmetry is NaN, fails too
+    if not asym <= HERMITIAN_TOL:
+        raise NonHermitianError(asym, HERMITIAN_TOL)
     return m
 
 
@@ -165,18 +166,18 @@ def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarra
 def _refine(estimate: Callable[[int], np.ndarray], n_panels: int, tol: float):
     """The refinement ladder: double the panel count until two successive
     ``estimate(n_panels)`` agree within ``tol`` in the real and the imaginary
-    part of every component, at most 14 times and never past 2**17 panels."""
-    prev = cur = estimate(n_panels)
+    part of every component, at most 14 times and never past 2**17 panels;
+    else QuadratureError with the estimates of the last two levels."""
+    prev, cur = None, estimate(n_panels)
     for _ in range(_MAX_DOUBLINGS):
         if 2 * n_panels > _MAX_PANELS:
             break
         n_panels *= 2
-        cur = estimate(n_panels)
+        prev, cur = cur, estimate(n_panels)
         if np.all(np.abs(cur.real - prev.real) <= tol) and np.all(
             np.abs(cur.imag - prev.imag) <= tol
         ):
             return cur
-        prev = cur
     raise QuadratureError((prev, cur), tol)
 
 

@@ -285,14 +285,12 @@ def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     return float(kernel_spin_closed_general(a_matrix, axis, two_lambda).real)
 
 
-def kernel_spin_numeric(
-    a_matrix: np.ndarray, axis, two_lambda: int, tol: float = 1e-10
-) -> float:
+def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     """Estimator via direct quadrature of the oscillatory kernel integral.
 
     Integrates (2j+1)/pi * e^{i lambda t} Tr[A e^{-i t J_n}] sin^2(t/2) over
-    a full period and checks that the imaginary residue is below 1e-9 before
-    discarding it.
+    a full period to the default 1e-10 of :func:`numerics.integrate_oscillatory`
+    and checks that the imaginary residue is below 1e-9 before discarding it.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = a_matrix.shape[0] - 1
@@ -304,29 +302,25 @@ def kernel_spin_numeric(
         trace = a_diag @ np.exp(-1j * np.outer(m_values, t))
         return (two_j + 1) / np.pi * trace * np.sin(t / 2.0) ** 2
 
-    value = numerics.integrate_oscillatory(g, two_lambda / 2.0, 2.0 * np.pi, tol)
+    value = numerics.integrate_oscillatory(g, two_lambda / 2.0, 2.0 * np.pi)
     if abs(value.imag) > 1e-9:
         raise RuntimeError(f"kernel integral has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
-def exact_reconstruction(
-    rho: SpinDensityMatrix, a_matrix: np.ndarray, sphere_order: int = 16
-) -> float:
+def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
     """Deterministic reconstruction of Tr[A rho] by sphere quadrature.
 
-    Sums the closed-form kernel against the outcome probabilities on a
-    Gauss-Legendre (polar) x uniform (azimuth) product grid; the integrand is
-    a low-degree polynomial in the axis components, so moderate orders are
-    exact to roundoff.
+    Sums the closed-form kernel against the outcome probabilities on the
+    sphere rule of order 2j + 1.  The integrand is a polynomial of degree
+    <= 4j in the axis and the rule is exact up to degree 4j + 1, so the sum
+    is exact to roundoff at every j.
     """
-    if sphere_order < 8:
-        raise ValueError("sphere_order must be >= 8")
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = rho.two_j
     if a_matrix.shape != (two_j + 1, two_j + 1):
         raise ValueError("operator dimension does not match the state")
-    axes, w = numerics.sphere_rule(sphere_order)
+    axes, w = numerics.sphere_rule(two_j + 1)
     _, vectors = axis_eigh(two_j, axes)
     probs = _probabilities_stack(rho, vectors)
     sigma = _sigma_table(_diagonals(a_matrix, vectors).real)

@@ -116,7 +116,7 @@ def test_criterion_5_exact_reconstruction():
             rho = random_spin_state(rng, two_j)
             a_matrix = random_hermitian(rng, two_j + 1)
             truth = float(np.trace(a_matrix @ rho.matrix).real)
-            value = spin.exact_reconstruction(rho, a_matrix, sphere_order=16)
+            value = spin.exact_reconstruction(rho, a_matrix)
             worst = max(worst, abs(value - truth))
     elapsed = time.perf_counter() - start
     report(

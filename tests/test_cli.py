@@ -413,6 +413,84 @@ class TestErrors:
         assert err["error"]["code"] == "data"
         assert err["error"]["message"].startswith(f"{records}:4: {reason}")
 
+    @pytest.mark.parametrize("mode", ["reconstruct", "kernel-export"])
+    def test_config_with_a_cutoff_is_rejected(self, tmp_path, capsys, mode):
+        # the field once set the homodyne kernel cutoff; an archived config
+        # that sets it must not run with another meaning
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 1.0}\n')
+        config = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "records_path": str(records),
+                "target": {"type": "matrix-element", "n": 0, "l": 0},
+                "grid": {"min": 0.0, "max": 1.0, "points": 2},
+                "output_path": str(tmp_path / "out"),
+                "cutoff": 3.0,
+            },
+        )
+        assert cli.main([mode, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "config"
+        assert "'cutoff'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    SPIN_UP = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+    @pytest.mark.parametrize(
+        "mode, state, message",
+        [
+            (
+                "simulate-homodyne",
+                {"n_max": 2.7, "rho": [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]},
+                "'n_max'",
+            ),
+            ("simulate-spin", {"two_j": True, "rho": SPIN_UP}, "'two_j'"),
+            ("simulate-spin", {"two_j": "1", "rho": SPIN_UP}, "'two_j'"),
+            ("simulate-spin", {"two_j": 1, "rho": [[[True, 0], [0, 0]], SPIN_UP[1]]}, "rho[0][0]"),
+            ("simulate-spin", {"two_j": 1, "rho": [[[10**400, 0], [0, 0]], SPIN_UP[1]]}, "too large"),
+            ("simulate-spin", {"two_j": 1, "rho": [[[math.nan, 0], [0, 0]], SPIN_UP[1]]}, "= nan"),
+        ],
+        ids=["fractional-size", "bool-size", "string-size", "bool-entry", "huge-entry", "nan-entry"],
+    )
+    def test_state_file_is_read_strictly(self, tmp_path, capsys, mode, state, message):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(state), encoding="utf-8")
+        records = tmp_path / "records.jsonl"
+        config = write_config(
+            tmp_path,
+            "sim.json",
+            {"seed": 1, "count": 5, "state_path": str(state_path), "records_path": str(records)},
+        )
+        assert cli.main([mode, "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config"
+        assert message in err["message"]
+        assert not records.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize(
+        "target",
+        [{"type": "photon-number"}, {"type": "spin-operator", "name": "Jz", "two_j": 1}],
+        ids=["homodyne", "spin"],
+    )
+    def test_file_without_records_is_a_data_error(self, tmp_path, capsys, text, target):
+        records = tmp_path / "records.jsonl"
+        records.write_text(text)
+        config = write_config(
+            tmp_path, "rec.json", {"records_path": str(records), "target": target}
+        )
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "data"
+        assert err["message"] == f"{records}: file holds no records"
+
+
 class TestJsonSerializer:
     def test_nested_payload(self):
         text = dumps({"a": [1, 2.5, None, True], "b": {"c": "x"}})

@@ -119,7 +119,7 @@ class TestHaarIntegral:
         for axis, w_n in zip(axes, sphere_w):
             acc = sum(w * complex(f(groups.su2_exponential(r, axis))) for r, w in zip(t, t_w))
             want += w_n * acc
-        got = groups._haar_level(f, 16, 2)
+        got = groups._haar_level(f, axes, sphere_w, t, t_w)
         assert abs(got - 4.0 * math.pi * want) <= 1e-12 * abs(4.0 * math.pi * want)
 
     @pytest.mark.parametrize("sphere_order, radial_panels", [(16, 2), (24, 4)])
@@ -134,7 +134,7 @@ class TestHaarIntegral:
         for w_n in sphere_w:
             want += w_n * (t_w @ np.ones(len(t), dtype=complex))
         want *= 4.0 * math.pi
-        got = groups._haar_level(lambda g: 1.0, sphere_order, radial_panels)
+        got = groups._haar_level(lambda g: 1.0, axes, sphere_w, t, t_w)
         assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize(
@@ -145,6 +145,14 @@ class TestHaarIntegral:
     def test_rejects_integrand_of_wrong_shape(self, f):
         with pytest.raises(ValueError, match="integrand returned shape"):
             groups.haar_integral_su2(f)
+
+    def test_cap_reports_the_last_two_levels(self):
+        # tol 0 is never met: the ladder runs to its last level
+        with pytest.raises(numerics.QuadratureError) as info:
+            groups.haar_integral_su2(lambda g: 1.0, tol=0.0)
+        coarse, fine = info.value.estimates
+        assert coarse != fine
+        assert abs(fine - coarse) <= 1e-12 * groups.SU2_HAAR_VOLUME
 
     def test_exponential_chart_element(self):
         g = groups.su2_exponential(0.0, (0.0, 0.0, 1.0))
@@ -193,6 +201,19 @@ class TestOrthogonality:
         assert via_haar.real == pytest.approx(1.0 / degree * 1.0, rel=1e-6)
         residual = groups.orthogonality_residual(1, e0, e0, e0, e0)
         assert residual <= 1e-6 * (1.0 + 1.0 / degree)
+
+    @pytest.mark.parametrize("two_j", [16, 20])
+    def test_converges_at_large_j(self, two_j):
+        # a fixed pair of levels raised here; the ladder climbs until two agree
+        rng = np.random.default_rng(200 + two_j)
+        degree = groups.QuorumSpec.su2(two_j).formal_degree
+        vecs = rng.normal(size=(4, 3, two_j + 1)) + 1j * rng.normal(size=(4, 3, two_j + 1))
+        u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+        u2[0] = u1[0]
+        v2[0] = v1[0]
+        residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
+        rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
+        assert np.all(residual <= 1e-6 * (1.0 + rhs))
 
     def test_rejects_dimension_mismatch(self):
         e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -249,11 +270,13 @@ class TestStackedOrthogonality:
 
     def test_names_the_first_quadruple_that_does_not_converge(self, monkeypatch):
         level = groups._ortho_level
+        calls = []
 
-        def perturbed(two_j, quads, sphere_order, radial_panels):
-            lhs = level(two_j, quads, sphere_order, radial_panels)
-            if sphere_order == 24:
-                lhs[[2, 4]] += 1e-6
+        def perturbed(two_j, quads, axes, *rule):
+            # every level past the first moves by 1e-6 more than the one before
+            lhs = level(two_j, quads, axes, *rule)
+            lhs[[2, 4]] += 1e-6 * len(calls)
+            calls.append(len(axes))
             return lhs
 
         monkeypatch.setattr(groups, "_ortho_level", perturbed)
@@ -261,6 +284,8 @@ class TestStackedOrthogonality:
             groups.orthogonality_residual(1, *validate_quadruples(1))
         coarse, fine = info.value.estimates
         assert abs(fine - coarse) == pytest.approx(1e-6, rel=1e-3)
+        # sphere nodes of the levels (16, 2), (24, 4), (48, 8) and (96, 16)
+        assert calls == [512, 1152, 4608, 18432]
 
     def test_rejects_stacks_of_different_lengths(self):
         u1, u2, v1, v2 = validate_quadruples(1)

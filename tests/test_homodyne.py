@@ -508,8 +508,8 @@ class TestKernelTable:
         got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
         assert kernel._table is not None
         want = self.base_values(n, l, ys)
-        assert np.max(np.abs(got.real - want.real)) <= kernel._tol
-        assert np.max(np.abs(got.imag - want.imag)) <= kernel._tol
+        assert np.max(np.abs(got.real - want.real)) <= homodyne.KERNEL_TOL
+        assert np.max(np.abs(got.imag - want.imag)) <= homodyne.KERNEL_TOL
 
     @pytest.mark.parametrize("n, l", KERNELS)
     def test_batch_and_single_records_are_bit_identical(self, n, l):

@@ -96,6 +96,9 @@ class TestIntegrateReal:
         with pytest.raises(numerics.QuadratureError) as err:
             numerics.integrate_real(lambda t: np.sin(1e7 * t) ** 2, 0.0, 1.0, tol=0.0)
         assert len(err.value.estimates) == 2
+        # the last two levels, not the last one twice
+        coarse, fine = err.value.estimates
+        assert coarse != fine
 
 
 def reference_oscillatory(g, frequency, cutoff, tol=1e-10):
@@ -143,6 +146,8 @@ class TestIntegrateOscillatory:
                 lambda t: np.sin(1e7 * t) ** 2, np.array([0.0, 2.0, 9.0]), 1.0, tol=0.0
             )
         assert len(err.value.estimates) == 2
+        coarse, fine = err.value.estimates
+        assert np.all(coarse != fine)
 
     def test_rejects_non_finite_frequency(self):
         with pytest.raises(ValueError, match="finite"):

@@ -340,12 +340,18 @@ class TestExactReconstruction:
             rho = random_state(rng, two_j)
             a_matrix = random_hermitian(rng, two_j + 1)
             want = float(np.trace(a_matrix @ rho.matrix).real)
-            got = spin.exact_reconstruction(rho, a_matrix, sphere_order=16)
+            got = spin.exact_reconstruction(rho, a_matrix)
             assert abs(got - want) <= 1e-8
 
-    def test_rejects_low_order(self):
-        with pytest.raises(ValueError):
-            spin.exact_reconstruction(spin.maximally_mixed(1), np.eye(2, dtype=complex), 4)
+    @pytest.mark.parametrize("two_j", [16, 20, 30])
+    def test_exact_at_large_j(self, two_j):
+        # the sphere rule of order 2j + 1 integrates the degree-4j integrand
+        # exactly; a fixed order 16 missed by 9e-3 to 7e-2 here
+        rng = np.random.default_rng(90 + two_j)
+        rho = random_state(rng, two_j)
+        a_matrix = random_hermitian(rng, two_j + 1)
+        want = float(np.trace(a_matrix @ rho.matrix).real)
+        assert abs(spin.exact_reconstruction(rho, a_matrix) - want) <= 1e-12
 
 
 class TestBatchKernel:
