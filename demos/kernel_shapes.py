@@ -2,31 +2,38 @@
 
 The homodyne kernel K_{n,l}(y) is the phase-free factor of the estimator
 for the matrix element (n+l, n); the spin kernel depends on the axis only
-through its angle to the quantization axis.  The CSV files match what the
-``qtomo kernel-export`` subcommand emits, ready for external plotting.
+through its angle to the quantization axis.  The CSV files are written by
+the ``qtomo kernel-export`` subcommand itself, so they hold the kernels
+that ``qtomo reconstruct`` averages, ready for external plotting.
 """
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from qtomo import homodyne, spin
-from qtomo._jsonio import format_float
+from qtomo import cli, homodyne, spin
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
 
+
+def export(name: str, target: dict, grid: dict) -> np.ndarray:
+    """Rows (grid point, re, im) of ``qtomo kernel-export``, also left in OUT_DIR."""
+    path = OUT_DIR / f"{name}.csv"
+    config = OUT_DIR / f"{name}.json"
+    config.write_text(json.dumps({"target": target, "grid": grid, "output_path": str(path)}))
+    if cli.main(["kernel-export", "--config", str(config)]) != 0:
+        raise SystemExit(f"kernel-export failed for {name}")
+    print(f"wrote {path.name} ({grid['points']} points)")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 # --- homodyne kernels on an outcome grid ----------------------------------
-ys = np.linspace(-4.0, 4.0, 81)
 for n, l in ((0, 0), (1, 0), (0, 1)):
-    rows = ["grid_point,kernel_re,kernel_im"]
-    values = homodyne.kernel_matrix_element(n, l, ys)
-    for row in zip(ys, values.real, values.imag):
-        rows.append(",".join(format_float(v) for v in row))
-    path = OUT_DIR / f"kernel_n{n}_l{l}.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(f"wrote {path.name} ({len(ys)} points)")
+    target = {"type": "matrix-element", "n": n, "l": l}
+    export(f"kernel_n{n}_l{l}", target, {"min": -4.0, "max": 4.0, "points": 81})
 
 print("\nK_{0,0} samples (real part dominates the diagonal estimator):")
 for y in (0.0, 0.5, 1.0, 2.0, 3.0):
@@ -39,17 +46,13 @@ b = homodyne.kernel_matrix_element(2, 1, 1.3, cutoff=18.0)
 print(f"\ncutoff stability of K_(2,1)(1.3): gap {abs(a - b):.2e}")
 
 # --- spin kernel versus polar angle ----------------------------------------
+target = {"type": "spin-operator", "name": "Jz", "two_j": 1, "two_lambda": 1}
+rows = export("kernel_spin_jz", target, {"min": 0.0, "max": math.pi, "points": 9})
 _, _, jz = spin.spin_matrices(1)
-rows = ["grid_point,kernel_re,kernel_im"]
-print("\nsigma(Jz)(theta, m=+1/2) = 1.5 cos(theta):")
-for theta in np.linspace(0.0, math.pi, 9):
-    axis = (math.sin(theta), 0.0, math.cos(theta))
-    value = spin.kernel_spin_closed(jz, axis, 1)
-    rows.append(",".join(format_float(v) for v in (theta, value, 0.0)))
-    print(f"  theta = {theta:5.3f}: {value:+.5f}")
-path = OUT_DIR / "kernel_spin_jz.csv"
-path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-print(f"wrote {path.name}")
+print("\nsigma(Jz)(theta, m=+1/2) = 1.5 cos(theta), exported and in closed form:")
+for theta, value, _ in rows:
+    closed = spin.kernel_spin_closed(jz, (math.sin(theta), 0.0, math.cos(theta)), 1)
+    print(f"  theta = {theta:5.3f}: {value:+.5f} (closed {closed:+.5f})")
 
 # --- the photon-number estimator is a plain parabola ------------------------
 print("\nphoton-number estimator y^2 - 1/2:")

@@ -1,7 +1,8 @@
 """Command-line surface: simulation, reconstruction, kernel export and the
 oracle validation gate, all driven by a single JSON config document.
 
-Flags only override seed, count and paths, so an archived config file
+Each mode takes ``--config`` and only the flags it reads, each of which
+overrides one seed, count or path field, so an archived config file
 reproduces a run exactly.  Exit codes: 0 success, 1 validation failure,
 2 config, file, record data or quadrature error (with a machine-readable
 object on stderr).
@@ -22,7 +23,14 @@ from ._jsonio import RecordError, complex_matrix, dumps, format_float, rows_at_l
 
 __all__ = ["main", "run_validation_suite"]
 
-_MODES = ("simulate-homodyne", "simulate-spin", "reconstruct", "kernel-export", "validate")
+# flag -> (the config field it overrides, its type)
+_FLAGS = {
+    "seed": ("seed", int),
+    "count": ("count", int),
+    "state": ("state_path", str),
+    "records": ("records_path", str),
+    "output": ("output_path", str),
+}
 
 
 class ConfigError(ValueError):
@@ -55,13 +63,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
     if "cutoff" in cfg:
         raise ConfigError("field 'cutoff' is not supported: kernel cutoffs come from (n, l)")
     cfg["mode"] = args.mode
-    for flag, key in (
-        ("seed", "seed"), ("count", "count"),
-        ("state", "state_path"), ("records", "records_path"), ("output", "output_path"),
-    ):
+    for flag in _MODES[args.mode][1]:
         value = getattr(args, flag)
         if value is not None:
-            cfg[key] = value
+            cfg[_FLAGS[flag][0]] = value
     return cfg
 
 
@@ -79,31 +84,30 @@ def _checked(key: str, value, kind=None):
     return value
 
 
-def _target_kind(target: dict) -> str:
-    if not isinstance(target, dict) or "type" not in target:
-        raise ConfigError("target must be an object with a 'type' field")
-    kind = target["type"]
-    if kind not in ("matrix-element", "photon-number", "spin-operator", "spin-matrix"):
+def _target(cfg: dict):
+    """Kernel, record reader and observable id of the config's target; the
+    one place that reads a target's type."""
+    target = _require(cfg, "target", dict)
+    kind = _require(target, "type")
+    if kind == "matrix-element":
+        n, l = _require(target, "n", int), _require(target, "l", int)
+        kernel = homodyne.MatrixElementKernel(n, l)
+        return kernel, homodyne.read_homodyne_records, f"rho[{n + l},{n}]"
+    if kind == "photon-number":
+        return homodyne.PhotonNumberKernel(), homodyne.read_homodyne_records, "photon-number"
+    if kind == "spin-matrix":
+        operator = complex_matrix(_require(target, "matrix", list))
+        return spin.SpinOperatorKernel(operator), spin.read_spin_records, "spin-matrix"
+    if kind != "spin-operator":
         raise ConfigError(f"unknown target type {kind!r}")
-    return kind
-
-
-def _named_spin_operator(name: str, two_j: int) -> np.ndarray:
-    jx, jy, jz = spin.spin_matrices(two_j)
-    try:
-        return {"Jx": jx, "Jy": jy, "Jz": jz}[name]
-    except KeyError:
-        raise ConfigError(f"unknown spin operator {name!r}; use Jx, Jy or Jz") from None
-
-
-def _spin_target_operator(cfg: dict, target: dict) -> np.ndarray:
-    if target["type"] == "spin-matrix":
-        return complex_matrix(_require(target, "matrix", list))
     name = _require(target, "name", str)
     two_j = target.get("two_j", cfg.get("two_j"))
     if two_j is None:
         raise ConfigError("named spin operators need 'two_j' in the target or config")
-    return _named_spin_operator(name, _checked("two_j", two_j, int))
+    named = dict(zip(("Jx", "Jy", "Jz"), spin.spin_matrices(_checked("two_j", two_j, int))))
+    if name not in named:
+        raise ConfigError(f"unknown spin operator {name!r}; use Jx, Jy or Jz")
+    return spin.SpinOperatorKernel(named[name]), spin.read_spin_records, name
 
 
 def _run_simulate_homodyne(cfg: dict) -> int:
@@ -125,37 +129,16 @@ def _run_simulate_spin(cfg: dict) -> int:
     return 0
 
 
-def _observable_id(target: dict) -> str:
-    kind = target["type"]
-    if kind == "matrix-element":
-        return f"rho[{target['n'] + target['l']},{target['n']}]"
-    if kind == "photon-number":
-        return "photon-number"
-    if kind == "spin-operator":
-        return target["name"]
-    return "spin-matrix"
-
-
 def _run_reconstruct(cfg: dict) -> int:
-    target = _require(cfg, "target", dict)
-    kind = _target_kind(target)
+    kernel, read, observable = _target(cfg)
     records_path = _require(cfg, "records_path", str)
-    if kind in ("matrix-element", "photon-number"):
-        records = homodyne.read_homodyne_records(records_path)
-        if kind == "matrix-element":
-            n, l = _require(target, "n", int), _require(target, "l", int)
-            kernel = homodyne.MatrixElementKernel(n, l)
-        else:
-            kernel = homodyne.PhotonNumberKernel()
-    else:
-        records = spin.read_spin_records(records_path)
-        kernel = spin.SpinOperatorKernel(_spin_target_operator(cfg, target))
+    records = read(records_path)
     if len(records) == 0:
         raise RecordError(records_path, "file holds no records")
     with rows_at_lines(records_path):
         result = mc.reconstruct(records, kernel)
     payload = {
-        "observable": _observable_id(target),
+        "observable": observable,
         "mean": [result["mean"].real, result["mean"].imag],
         "stderr": [result["stderr_re"], result["stderr_im"]],
         "count": result["count"],
@@ -169,32 +152,27 @@ def _run_reconstruct(cfg: dict) -> int:
 
 
 def _run_kernel_export(cfg: dict) -> int:
-    target = _require(cfg, "target", dict)
-    kind = _target_kind(target)
+    """CSV of the target's kernel, the one ``reconstruct`` averages, on a grid
+    of outcomes y at phase 0 (homodyne) or of polar angles theta of the axis
+    (sin theta, 0, cos theta) at outcome two_lambda / 2 (spin)."""
+    kernel, _, _ = _target(cfg)
     grid = _require(cfg, "grid", dict)
     lo = float(_require(grid, "min", (int, float)))
     hi = float(_require(grid, "max", (int, float)))
-    points = int(_require(grid, "points", int))
-    if points < 2 or hi <= lo:
-        raise ConfigError("grid needs points >= 2 and max > min")
+    points = _require(grid, "points", int)
+    if points < 2 or not -math.inf < lo < hi < math.inf:
+        raise ConfigError("grid needs points >= 2 and finite max > min")
     xs = np.linspace(lo, hi, points)
-    rows = []
-    if kind == "matrix-element":
-        n, l = _require(target, "n", int), _require(target, "l", int)
-        values = homodyne.kernel_matrix_element(n, l, xs)
-        rows.extend(zip(xs, values.real, values.imag))
-    elif kind == "photon-number":
-        for x in xs:
-            rows.append((x, x * x - 0.5, 0.0))
+    if isinstance(kernel, spin.SpinOperatorKernel):
+        two_lambda = _require(cfg["target"], "two_lambda", int)
+        spin.check_two_m(kernel.two_j, two_lambda)
+        axes = np.stack([np.sin(xs), np.zeros(points), np.cos(xs)], axis=1)
+        batch = spin.spin_records(axes, np.full(points, two_lambda))
     else:
-        operator = _spin_target_operator(cfg, target)
-        two_lambda = int(_require(target, "two_lambda", int))
-        for theta in xs:
-            axis = (math.sin(theta), 0.0, math.cos(theta))
-            value = spin.kernel_spin_closed(operator, axis, two_lambda)
-            rows.append((theta, value, 0.0))
+        batch = homodyne.homodyne_records(np.zeros(points), xs)
+    values = kernel.evaluate(batch)
     lines = ["grid_point,kernel_re,kernel_im"]
-    lines += [",".join(format_float(c) for c in row) for row in rows]
+    lines += [",".join(map(format_float, row)) for row in zip(xs, values.real, values.imag)]
     Path(_require(cfg, "output_path", str)).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -295,30 +273,29 @@ def _run_validate(cfg: dict) -> int:
     return 0 if report["passed"] else 1
 
 
+# mode -> (runner, the flags it reads besides --config)
+_MODES = {
+    "simulate-homodyne": (_run_simulate_homodyne, ("seed", "count", "state", "records")),
+    "simulate-spin": (_run_simulate_spin, ("seed", "count", "state", "records")),
+    "reconstruct": (_run_reconstruct, ("records", "output")),
+    "kernel-export": (_run_kernel_export, ("output",)),
+    "validate": (_run_validate, ("seed", "output")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtomo",
         description="group-based quantum tomography: simulate, reconstruct, validate",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode, (_, flags) in _MODES.items():
         p = sub.add_parser(mode)
-        p.add_argument("--config", help="JSON config document", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--state", default=None, help="override state_path")
-        p.add_argument("--records", default=None, help="override records_path")
-        p.add_argument("--output", default=None, help="override output_path")
+        p.add_argument("--config", help="JSON config document")
+        for flag in flags:
+            field, kind = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=f"override {field}")
     return parser
-
-
-_RUNNERS = {
-    "simulate-homodyne": _run_simulate_homodyne,
-    "simulate-spin": _run_simulate_spin,
-    "reconstruct": _run_reconstruct,
-    "kernel-export": _run_kernel_export,
-    "validate": _run_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -327,7 +304,7 @@ def main(argv=None) -> int:
         cfg = _merged_config(args)
         if args.mode != "validate" and args.config is None:
             raise ConfigError("--config is required for this mode")
-        return _RUNNERS[args.mode](cfg)
+        return _MODES[args.mode][0](cfg)
     except ConfigError as exc:
         return _fail("config", str(exc))
     except RecordError as exc:

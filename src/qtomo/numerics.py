@@ -190,9 +190,13 @@ def integrate_real(
 ) -> float:
     """Composite Gauss-Legendre integral of a vectorized real integrand.
 
-    Panel count doubles until two successive refinement levels agree within
-    ``tol`` (absolute); ``f`` must accept an ndarray of nodes.
+    Panel count doubles from ``min_panels`` until two successive refinement
+    levels agree within ``tol`` (absolute); ``f`` must accept an ndarray of
+    nodes.  A ``min_panels`` above half the ladder's cap leaves no room for a
+    second level and raises ValueError.
     """
+    if min_panels > _MAX_PANELS // 2:
+        raise ValueError(f"min_panels must be at most {_MAX_PANELS // 2}, got {min_panels}")
 
     def estimate(n_panels):
         nodes, weights = panel_rule(a, b, n_panels)

@@ -8,6 +8,7 @@ magnetic number m = -j..+j throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "SPIN_DTYPE",
     "SpinDensityMatrix",
     "spin_records",
+    "check_two_m",
     "spin_matrices",
     "axis_operator",
     "axis_eigh",
@@ -125,8 +127,15 @@ def spin_records(axes, two_m) -> np.ndarray:
     return batch
 
 
-def _check_two_m(two_j: int, two_m: int):
-    if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
+def _valid_two_m(two_j: int, two_m):
+    """Where two_m / 2 is a magnetic number of spin two_j / 2: |two_m| <= two_j
+    with the parity of two_j; elementwise over an array."""
+    return (np.abs(two_m) <= two_j) & ((two_m - two_j) % 2 == 0)
+
+
+def check_two_m(two_j: int, two_m: int) -> None:
+    """ValueError unless the outcome label two_m fits spin two_j / 2."""
+    if not _valid_two_m(two_j, two_m):
         raise ValueError(f"two_m={two_m} invalid for two_j={two_j}")
 
 
@@ -182,13 +191,21 @@ def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     Each a_m(n) is a polynomial of degree <= 2j in the axis, so its
     harmonic series stops at L = 2j, and the rule of order 2j + 1, exact up
     to degree 4j, makes the projection a plain weighted sum of
-    :func:`axis_eigh` values at its nodes.
+    :func:`axis_eigh` values at its nodes.  The sum runs over blocks of
+    nodes whose harmonic values hold at most ``_BASIS_BLOCK`` entries, so
+    memory stays bounded at any j; up to two_j = 21 all nodes fit in one.
     """
     two_j = matrix.shape[0] - 1
     axes, w = numerics.sphere_rule(two_j + 1)
-    _, vectors = axis_eigh(two_j, axes)
-    basis = numerics.real_spherical_harmonics(two_j, axes)
-    return basis @ (w[:, None] * _diagonals(matrix, vectors).real)
+    step = max(1, _BASIS_BLOCK // (two_j + 1) ** 2)
+
+    def block_sum(block):
+        _, vectors = axis_eigh(two_j, axes[block])
+        basis = numerics.real_spherical_harmonics(two_j, axes[block])
+        return basis @ (w[block, None] * _diagonals(matrix, vectors).real)
+
+    blocks = (slice(i, i + step) for i in range(0, len(w), step))
+    return functools.reduce(np.add, map(block_sum, blocks))
 
 
 def _table_values(table: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -267,7 +284,7 @@ def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda: int) -> c
     """Closed-form estimator value for an arbitrary (possibly non-Hermitian) operator."""
     a_matrix = np.asarray(a_matrix, dtype=complex)
     two_j = a_matrix.shape[0] - 1
-    _check_two_m(two_j, two_lambda)
+    check_two_m(two_j, two_lambda)
     sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))
     return complex(sigma[0, (two_lambda + two_j) // 2])
 
@@ -294,7 +311,7 @@ def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = a_matrix.shape[0] - 1
-    _check_two_m(two_j, two_lambda)
+    check_two_m(two_j, two_lambda)
     a_diag = _axis_expectations(a_matrix, two_j, axis)[0]
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
 
@@ -347,8 +364,7 @@ class SpinOperatorKernel:
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, SPIN_DTYPE, "spin")
         two_j, two_m = self.two_j, records["two_m"]
-        valid = (np.abs(two_m) <= two_j) & ((two_m - two_j) % 2 == 0)
-        check_rows([(valid, f"two_m invalid for two_j={two_j}", two_m)])
+        check_rows([(_valid_two_m(two_j, two_m), f"two_m invalid for two_j={two_j}", two_m)])
         idx = (two_m + two_j) // 2
         out = np.empty(len(records), dtype=complex)
         for start in range(0, len(records), _SAMPLE_CHUNK):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtomo import cli, groups, homodyne, numerics, spin
-from qtomo._jsonio import dumps
+from qtomo._jsonio import dumps, format_float
 
 
 def write_config(tmp_path, name, payload):
@@ -221,6 +221,155 @@ class TestKernelExport:
         # sigma(J_z)(axis(theta), +1/2) = 1.5 cos(theta)
         assert float(rows[0][1]) == pytest.approx(1.5, abs=1e-12)
         assert float(rows[2][1]) == pytest.approx(-1.5, abs=1e-12)
+
+
+    @staticmethod
+    def export(tmp_path, target, grid):
+        """Rows (grid point, re, im) that ``kernel-export`` writes, and the CSV path."""
+        out = tmp_path / "kernel.csv"
+        payload = {"target": target, "grid": grid, "output_path": str(out)}
+        config = write_config(tmp_path, "export.json", payload)
+        assert cli.main(["kernel-export", "--config", config]) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2), out
+
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            ({"type": "matrix-element", "n": 2, "l": 1}, {"min": -5.0, "max": 25.0, "points": 31}),
+            ({"type": "matrix-element", "n": 2, "l": -1}, {"min": -4.0, "max": 4.0, "points": 9}),
+            ({"type": "photon-number"}, {"min": -3.0, "max": 3.0, "points": 7}),
+            (
+                {"type": "spin-operator", "name": "Jx", "two_j": 2, "two_lambda": 0},
+                {"min": 0.0, "max": 2.0 * math.pi, "points": 13},
+            ),
+            (
+                {"type": "spin-matrix", "matrix": [[[1, 0], [0, -2]], [[0, 2], [-1, 0]]],
+                 "two_lambda": -1},
+                {"min": -1.0, "max": 4.0, "points": 11},
+            ),
+        ],
+        ids=["element", "element-l-negative", "photon-number", "spin-operator", "spin-matrix"],
+    )
+    def test_rows_are_the_kernel_reconstruct_averages(self, tmp_path, target, grid):
+        rows, _ = self.export(tmp_path, target, grid)
+        xs = np.linspace(grid["min"], grid["max"], grid["points"])
+        if target["type"].startswith("spin"):
+            matrix = (
+                spin.spin_matrices(2)[0] if target["type"] == "spin-operator"
+                else np.array([[1, -2j], [2j, -1]])
+            )
+            kernel = spin.SpinOperatorKernel(matrix)
+            axes = np.stack([np.sin(xs), np.zeros_like(xs), np.cos(xs)], axis=1)
+            batch = spin.spin_records(axes, np.full(xs.size, target["two_lambda"]))
+        else:
+            kernel = (
+                homodyne.PhotonNumberKernel() if target["type"] == "photon-number"
+                else homodyne.MatrixElementKernel(target["n"], target["l"])
+            )
+            batch = homodyne.homodyne_records(np.zeros_like(xs), xs)
+        values = kernel.evaluate(batch)
+        assert np.array_equal(rows[:, 0], xs)
+        assert np.array_equal(rows[:, 1], values.real)
+        assert np.array_equal(rows[:, 2], values.imag)
+
+    def test_photon_number_rows_are_the_parabola(self, tmp_path):
+        grid = {"min": -3.0, "max": 3.0, "points": 7}
+        _, out = self.export(tmp_path, {"type": "photon-number"}, grid)
+        xs = np.linspace(-3.0, 3.0, 7)
+        want = ["grid_point,kernel_re,kernel_im"]
+        want += [f"{format_float(x)},{format_float(x * x - 0.5)},0.0" for x in xs]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+    def test_matrix_element_rows_match_the_quadrature(self, tmp_path):
+        grid = {"min": -20.0, "max": 20.0, "points": 41}
+        rows, _ = self.export(tmp_path, {"type": "matrix-element", "n": 3, "l": 2}, grid)
+        want = homodyne.kernel_matrix_element(3, 2, rows[:, 0])
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - want)) <= homodyne.KERNEL_TOL
+
+    def test_negative_l_is_the_conjugate_of_its_base_pair(self, tmp_path):
+        grid = {"min": -4.0, "max": 4.0, "points": 17}
+        rows, _ = self.export(tmp_path, {"type": "matrix-element", "n": 2, "l": -1}, grid)
+        base, _ = self.export(tmp_path, {"type": "matrix-element", "n": 1, "l": 1}, grid)
+        assert np.array_equal(rows[:, :2], base[:, :2])
+        assert np.array_equal(rows[:, 2], -base[:, 2])
+        assert np.any(rows[:, 2] != 0.0)
+
+    def test_spin_rows_match_the_closed_form(self, tmp_path):
+        target = {"type": "spin-operator", "name": "Jy", "two_j": 3, "two_lambda": -1}
+        rows, _ = self.export(tmp_path, target, {"min": 0.0, "max": math.pi, "points": 17})
+        jy = spin.spin_matrices(3)[1]
+        for theta, re, im in rows:
+            closed = spin.kernel_spin_closed(jy, (math.sin(theta), 0.0, math.cos(theta)), -1)
+            assert abs(re - closed) <= 1e-12
+            assert im == 0.0
+
+    @pytest.mark.parametrize("two_lambda", [2, 3, -5])
+    def test_two_lambda_outside_the_spin_is_a_config_error(self, tmp_path, capsys, two_lambda):
+        out = tmp_path / "kernel.csv"
+        target = {"type": "spin-operator", "name": "Jz", "two_j": 1, "two_lambda": two_lambda}
+        grid = {"min": 0.0, "max": 1.0, "points": 2}
+        payload = {"target": target, "grid": grid, "output_path": str(out)}
+        config = write_config(tmp_path, "export.json", payload)
+        assert cli.main(["kernel-export", "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config"
+        assert f"two_m={two_lambda} invalid for two_j=1" in err["message"]
+        assert not out.exists()
+
+
+class TestModeFlags:
+    READS = {
+        "simulate-homodyne": {"config", "seed", "count", "state", "records"},
+        "simulate-spin": {"config", "seed", "count", "state", "records"},
+        "reconstruct": {"config", "records", "output"},
+        "kernel-export": {"config", "output"},
+        "validate": {"config", "seed", "output"},
+    }
+
+    def test_each_mode_takes_only_the_flags_it_reads(self, capsys):
+        parser = cli._build_parser()
+        taken = set()
+        for mode in self.READS:
+            for flag in ("config", "seed", "count", "state", "records", "output"):
+                try:
+                    parser.parse_args([mode, f"--{flag}", "1"])
+                except SystemExit:
+                    continue
+                taken.add((mode, flag))
+        assert taken == {(mode, flag) for mode, flags in self.READS.items() for flag in flags}
+        assert len(taken) == 18
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--config", "c.json", "--seed", "5"],
+            ["validate", "--records", "x"],
+            ["kernel-export", "--config", "c.json", "--count", "3"],
+            ["simulate-spin", "--config", "c.json", "--output", "o.json"],
+        ],
+    )
+    def test_a_flag_the_mode_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_reconstruct_flags_override_the_paths(self, tmp_path, vacuum_state_path, capsys):
+        records = tmp_path / "records.jsonl"
+        payload = {
+            "seed": 3,
+            "count": 40,
+            "state_path": vacuum_state_path,
+            "records_path": str(tmp_path / "elsewhere.jsonl"),
+            "target": {"type": "photon-number"},
+        }
+        config = write_config(tmp_path, "run.json", payload)
+        assert cli.main(["simulate-homodyne", "--config", config, "--records", str(records)]) == 0
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", "--config", config, "--records", str(records), "--output", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["count"] == 40
+        assert not (tmp_path / "elsewhere.jsonl").exists()
 
 
 class TestValidate:

@@ -92,6 +92,14 @@ class TestIntegrateReal:
         val = numerics.integrate_real(lambda t: t * np.exp(-t * t / 4.0), 0.0, 20.0)
         assert val == pytest.approx(2.0, abs=1e-10)
 
+    def test_start_with_room_for_a_second_level(self):
+        value = numerics.integrate_real(lambda t: np.ones_like(t), 0.0, 1.0, min_panels=2**16)
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_start_past_the_ladder_room_is_rejected(self):
+        with pytest.raises(ValueError, match="at most 65536"):
+            numerics.integrate_real(lambda t: np.ones_like(t), 0.0, 1.0, min_panels=2**17)
+
     def test_refinement_cap_reports_estimates(self):
         with pytest.raises(numerics.QuadratureError) as err:
             numerics.integrate_real(lambda t: np.sin(1e7 * t) ** 2, 0.0, 1.0, tol=0.0)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qtomo import groups, numerics, spin
+from qtomo._jsonio import RecordError
 from qtomo._rng import record_uniforms
 
 SIGMA = (
@@ -366,6 +368,21 @@ class TestBatchKernel:
                 assert value == pytest.approx(scalar, abs=1e-12)
                 assert value.imag == 0.0
 
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
+    def test_one_two_m_rule_for_labels_and_records(self, two_j):
+        kernel = spin.SpinOperatorKernel(spin.spin_matrices(two_j)[2])
+        for two_m in range(-two_j - 3, two_j + 4):
+            record = spin.spin_records([[0.0, 0.0, 1.0]], [two_m])
+            fits = abs(two_m) <= two_j and (two_m - two_j) % 2 == 0
+            if fits:
+                spin.check_two_m(two_j, two_m)
+                kernel.evaluate(record)
+                continue
+            with pytest.raises(ValueError, match=f"two_m={two_m} invalid"):
+                spin.check_two_m(two_j, two_m)
+            with pytest.raises(RecordError, match=f"record 0: two_m invalid for two_j={two_j}"):
+                kernel.evaluate(record)
+
     def test_rejects_foreign_records(self):
         from qtomo.homodyne import homodyne_records
 
@@ -394,6 +411,17 @@ class TestHarmonicTable:
         want = eigh_diagonals(rho.matrix, 40, axes)
         got = spin._table_values(spin._harmonic_table(rho.matrix), axes)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_traced_peak_of_a_two_j_30_build_stays_bounded(self):
+        # all 2048 nodes at once peaked at ~100 MiB; blocks of nodes peak near 29 MiB
+        rho = random_state(np.random.default_rng(130), 30)
+        tracemalloc.start()
+        try:
+            spin._harmonic_table(rho.matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
     def test_kernel_batch_and_single_records_are_bit_identical(self, two_j):
