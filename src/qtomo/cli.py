@@ -6,6 +6,9 @@ overrides one seed, count or path field, so an archived config file
 reproduces a run exactly.  Exit codes: 0 success, 1 validation failure,
 2 config, file, record data or quadrature error (with a machine-readable
 object on stderr).
+
+Each mode imports only the modules it runs, and only once its argv parses,
+so ``--help`` and a usage error exit before numpy loads.
 """
 
 from __future__ import annotations
@@ -15,11 +18,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from . import groups, homodyne, mc, numerics, spin
-from ._jsonio import RecordError, complex_matrix, dumps, format_float, rows_at_lines
 
 __all__ = ["main", "run_validation_suite"]
 
@@ -38,7 +36,7 @@ class ConfigError(ValueError):
 
 
 def _fail(code: str, message: str) -> int:
-    sys.stderr.write(dumps({"error": {"code": code, "message": message}}) + "\n")
+    sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
     return 2
 
 
@@ -85,21 +83,28 @@ def _checked(key: str, value, kind=None):
 
 
 def _target(cfg: dict):
-    """Kernel, record reader and observable id of the config's target; the
-    one place that reads a target's type."""
+    """Kernel, record reader, observable id and grid batch builder of the
+    config's target; the one place that reads a target's type, and so the
+    one place that picks the quorum module a run imports."""
     target = _require(cfg, "target", dict)
     kind = _require(target, "type")
-    if kind == "matrix-element":
+    if kind in ("matrix-element", "photon-number"):
+        from . import homodyne
+
+        read = homodyne.read_homodyne_records
+        if kind == "photon-number":
+            return homodyne.PhotonNumberKernel(), read, "photon-number", _homodyne_grid
         n, l = _require(target, "n", int), _require(target, "l", int)
-        kernel = homodyne.MatrixElementKernel(n, l)
-        return kernel, homodyne.read_homodyne_records, f"rho[{n + l},{n}]"
-    if kind == "photon-number":
-        return homodyne.PhotonNumberKernel(), homodyne.read_homodyne_records, "photon-number"
+        return homodyne.MatrixElementKernel(n, l), read, f"rho[{n + l},{n}]", _homodyne_grid
+    if kind not in ("spin-matrix", "spin-operator"):
+        raise ConfigError(f"unknown target type {kind!r}")
+    from . import spin
+    from ._jsonio import complex_matrix
+
+    read = spin.read_spin_records
     if kind == "spin-matrix":
         operator = complex_matrix(_require(target, "matrix", list))
-        return spin.SpinOperatorKernel(operator), spin.read_spin_records, "spin-matrix"
-    if kind != "spin-operator":
-        raise ConfigError(f"unknown target type {kind!r}")
+        return spin.SpinOperatorKernel(operator), read, "spin-matrix", _spin_grid
     name = _require(target, "name", str)
     two_j = target.get("two_j", cfg.get("two_j"))
     if two_j is None:
@@ -107,10 +112,34 @@ def _target(cfg: dict):
     named = dict(zip(("Jx", "Jy", "Jz"), spin.spin_matrices(_checked("two_j", two_j, int))))
     if name not in named:
         raise ConfigError(f"unknown spin operator {name!r}; use Jx, Jy or Jz")
-    return spin.SpinOperatorKernel(named[name]), spin.read_spin_records, name
+    return spin.SpinOperatorKernel(named[name]), read, name, _spin_grid
+
+
+def _homodyne_grid(target: dict, kernel, ys):
+    """Records with outcomes ``ys`` at phase 0."""
+    import numpy as np
+
+    from . import homodyne
+
+    return homodyne.homodyne_records(np.zeros(ys.size), ys)
+
+
+def _spin_grid(target: dict, kernel, thetas):
+    """Records along the axes (sin theta, 0, cos theta) with the target's
+    outcome two_lambda / 2."""
+    import numpy as np
+
+    from . import spin
+
+    two_lambda = _require(target, "two_lambda", int)
+    spin.check_two_m(kernel.two_j, two_lambda)
+    axes = np.stack([np.sin(thetas), np.zeros(thetas.size), np.cos(thetas)], axis=1)
+    return spin.spin_records(axes, np.full(thetas.size, two_lambda))
 
 
 def _run_simulate_homodyne(cfg: dict) -> int:
+    from . import homodyne
+
     rho = homodyne.load_homodyne_state(_require(cfg, "state_path", str))
     count = _require(cfg, "count", int)
     seed = _require(cfg, "seed", int)
@@ -121,6 +150,8 @@ def _run_simulate_homodyne(cfg: dict) -> int:
 
 
 def _run_simulate_spin(cfg: dict) -> int:
+    from . import spin
+
     rho = spin.load_spin_state(_require(cfg, "state_path", str))
     count = _require(cfg, "count", int)
     seed = _require(cfg, "seed", int)
@@ -130,7 +161,10 @@ def _run_simulate_spin(cfg: dict) -> int:
 
 
 def _run_reconstruct(cfg: dict) -> int:
-    kernel, read, observable = _target(cfg)
+    from . import mc
+    from ._jsonio import RecordError, dumps, rows_at_lines
+
+    kernel, read, observable, _ = _target(cfg)
     records_path = _require(cfg, "records_path", str)
     records = read(records_path)
     if len(records) == 0:
@@ -155,7 +189,11 @@ def _run_kernel_export(cfg: dict) -> int:
     """CSV of the target's kernel, the one ``reconstruct`` averages, on a grid
     of outcomes y at phase 0 (homodyne) or of polar angles theta of the axis
     (sin theta, 0, cos theta) at outcome two_lambda / 2 (spin)."""
-    kernel, _, _ = _target(cfg)
+    import numpy as np
+
+    from ._jsonio import format_float
+
+    kernel, _, _, grid_batch = _target(cfg)
     grid = _require(cfg, "grid", dict)
     lo = float(_require(grid, "min", (int, float)))
     hi = float(_require(grid, "max", (int, float)))
@@ -163,14 +201,7 @@ def _run_kernel_export(cfg: dict) -> int:
     if points < 2 or not -math.inf < lo < hi < math.inf:
         raise ConfigError("grid needs points >= 2 and finite max > min")
     xs = np.linspace(lo, hi, points)
-    if isinstance(kernel, spin.SpinOperatorKernel):
-        two_lambda = _require(cfg["target"], "two_lambda", int)
-        spin.check_two_m(kernel.two_j, two_lambda)
-        axes = np.stack([np.sin(xs), np.zeros(points), np.cos(xs)], axis=1)
-        batch = spin.spin_records(axes, np.full(points, two_lambda))
-    else:
-        batch = homodyne.homodyne_records(np.zeros(points), xs)
-    values = kernel.evaluate(batch)
+    values = kernel.evaluate(grid_batch(cfg["target"], kernel, xs))
     lines = ["grid_point,kernel_re,kernel_im"]
     lines += [",".join(map(format_float, row)) for row in zip(xs, values.real, values.imag)]
     Path(_require(cfg, "output_path", str)).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -179,6 +210,10 @@ def _run_kernel_export(cfg: dict) -> int:
 
 def run_validation_suite(seed: int = 2024) -> dict:
     """Deterministic oracle suite tying the implementation to its closed forms."""
+    import numpy as np
+
+    from . import groups, homodyne, numerics, spin
+
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -260,6 +295,8 @@ def run_validation_suite(seed: int = 2024) -> dict:
 
 
 def _run_validate(cfg: dict) -> int:
+    from ._jsonio import dumps
+
     report = run_validation_suite(_checked("seed", cfg.get("seed", 2024), int))
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
@@ -300,6 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # imported once argv parses: --help and usage errors never load numpy
+    from ._jsonio import RecordError
+    from .numerics import QuadratureError
+
     try:
         cfg = _merged_config(args)
         if args.mode != "validate" and args.config is None:
@@ -309,9 +350,10 @@ def main(argv=None) -> int:
         return _fail("config", str(exc))
     except RecordError as exc:
         return _fail("data", str(exc))
-    except FileNotFoundError as exc:
-        return _fail("file", f"{exc.strerror}: {exc.filename}")
-    except numerics.QuadratureError as exc:
+    except OSError as exc:
+        where = "" if exc.filename is None else f": {exc.filename}"
+        return _fail("file", f"{exc.strerror or exc}{where}")
+    except QuadratureError as exc:
         return _fail("quadrature", str(exc))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return _fail("config", f"{type(exc).__name__}: {exc}")

@@ -184,7 +184,8 @@ class _CdfSampler:
 
     The density's phi dependence enters only through e^{i k phi} harmonics,
     so the cumulative Simpson masses are tabulated per harmonic once: the CDF
-    at edge i is B_i + sum_k cos(k phi) C_ki + sin(k phi) S_ki.  One grid
+    at edge i is B_i + sum_k cos(k phi) C_ki + sin(k phi) S_ki, over only the
+    k whose C or S column is nonzero (a number state keeps B alone).  One grid
     level serves every record of the state.  It is the coarsest level at
     which the Simpson-trapezoid gap, bounded over all phi, stays below
     CDF_TOL; each record then bisects its CDF in O(k log M).  Rows are pure
@@ -232,8 +233,12 @@ class _CdfSampler:
                 masses[k_max + k] = -2.0 * PHASE_SIGN * simpson.imag
                 bound += 2.0 * gap
         del psi  # free the eigenfunctions before the cumulative copy is made
-        self.tables = np.cumsum(masses.T, axis=0)
-        self.harmonics = np.arange(1, k_max + 1, dtype=float)
+        # only the harmonics the state has: a zero row adds nothing to a CDF
+        ks = np.arange(1, k_max + 1)
+        cos_k = ks[masses[1 : k_max + 1].any(axis=1)]
+        sin_k = ks[masses[k_max + 1 :].any(axis=1)]
+        self.tables = np.cumsum(masses[np.concatenate(([0], cos_k, k_max + sin_k))].T, axis=0)
+        self.cos_k, self.sin_k = cos_k.astype(float), sin_k.astype(float)
         self.edges = fine[::2]
         # worst case over phi of the summed Simpson-trapezoid gap
         return float(bound)
@@ -243,8 +248,14 @@ class _CdfSampler:
 
     def sample(self, phis: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Linear-interpolation inverse CDF, one uniform per row."""
-        ang = np.outer(phis, self.harmonics)
-        coeff = np.concatenate((np.ones((phis.size, 1)), np.cos(ang), np.sin(ang)), axis=1)
+        coeff = np.concatenate(
+            (
+                np.ones((phis.size, 1)),
+                np.cos(np.outer(phis, self.cos_k)),
+                np.sin(np.outer(phis, self.sin_k)),
+            ),
+            axis=1,
+        )
         last = self.n_intervals - 1
         total = self._cdf(coeff, np.full(phis.size, last))
         if np.any(total < 0.5) or np.any(total > 1.5):

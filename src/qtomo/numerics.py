@@ -274,7 +274,8 @@ def integrate_oscillatory(
         return rules[n_panels]
 
     out = np.empty(flat.size, dtype=complex)
-    for p in np.unique(counts):
+    # not np.unique, which imports numpy.ma on numpy 2
+    for p in sorted(set(counts.tolist())):
         sel = np.nonzero(counts == p)[0]
         group = flat[sel]
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtomo
 from qtomo import cli, groups, homodyne, numerics, spin
 from qtomo._jsonio import dumps, format_float
 
@@ -638,6 +643,178 @@ class TestErrors:
         err = json.loads(captured.err)["error"]
         assert err["code"] == "data"
         assert err["message"] == f"{records}: file holds no records"
+
+    @pytest.mark.parametrize(
+        "mode, field",
+        [
+            ("simulate-homodyne", "records_path"),
+            ("simulate-spin", "records_path"),
+            ("reconstruct", "records_path"),
+            ("simulate-homodyne", "state_path"),
+            ("simulate-spin", "state_path"),
+            ("validate", "output_path"),
+            ("kernel-export", "output_path"),
+        ],
+    )
+    def test_a_directory_path_is_a_file_error(self, tmp_path, capsys, mode, field):
+        state = tmp_path / "state.json"
+        if mode == "simulate-spin":
+            spin.save_spin_state(spin.maximally_mixed(1), state)
+            target = {"type": "spin-operator", "name": "Jz", "two_j": 1, "two_lambda": 1}
+        else:
+            homodyne.save_homodyne_state(homodyne.vacuum_state(4), state)
+            target = {"type": "photon-number"}
+        payload = {
+            "seed": 1,
+            "count": 5,
+            "state_path": str(state),
+            "records_path": str(tmp_path / "records.jsonl"),
+            "output_path": str(tmp_path / "out"),
+            "target": target,
+            "grid": {"min": -1.0, "max": 1.0, "points": 3},
+        }
+        flags = []
+        if field == "output_path":
+            flags = ["--output", str(tmp_path)]
+        else:
+            payload[field] = str(tmp_path)
+        config = write_config(tmp_path, "run.json", payload)
+        assert cli.main([mode, "--config", config, *flags]) == 2
+        # the stderr is the error object alone: no traceback
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "file", "message": f"Is a directory: {tmp_path}"}
+
+
+def modules_after_main(tmp_path, argv):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the
+    modules it left in ``sys.modules``."""
+    out = tmp_path / "modules.json"
+    script = (
+        "import json, sys\n"
+        "from qtomo import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[2:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    run_python(tmp_path, script, str(out), *argv)
+    code, modules = json.loads(out.read_text())
+    return code, set(modules)
+
+
+def run_python(cwd, script, *args) -> str:
+    """Stdout of ``script`` in a fresh interpreter that imports this qtomo."""
+    src = str(Path(qtomo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImports:
+    """Each mode imports only the modules it runs, checked in a fresh interpreter."""
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], 0), (["reconstruct", "--seed", "5"], 2)], ids=["help", "usage"]
+    )
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path, argv, code):
+        exit_code, modules = modules_after_main(tmp_path, argv)
+        assert exit_code == code
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("qtomo")} == {"qtomo", "qtomo.cli"}
+
+    @pytest.fixture()
+    def configs(self, tmp_path, vacuum_state_path, spin_state_path):
+        """One config per mode run, and the spin records a spin reconstruct reads."""
+        spin_records = tmp_path / "spin.jsonl"
+        common = {"seed": 3, "count": 50, "output_path": str(tmp_path / "out")}
+        configs = {
+            "simulate-homodyne": {
+                **common,
+                "state_path": vacuum_state_path,
+                "records_path": str(tmp_path / "homodyne.jsonl"),
+            },
+            "simulate-spin": {
+                **common,
+                "state_path": spin_state_path,
+                "records_path": str(spin_records),
+            },
+            "reconstruct-spin": {
+                **common,
+                "records_path": str(spin_records),
+                "target": {"type": "spin-operator", "name": "Jz", "two_j": 1},
+            },
+            "kernel-export-homodyne": {
+                **common,
+                "target": {"type": "matrix-element", "n": 1, "l": 1},
+                "grid": {"min": -1.0, "max": 1.0, "points": 3},
+            },
+        }
+        paths = {name: write_config(tmp_path, f"{name}.json", cfg) for name, cfg in configs.items()}
+        assert cli.main(["simulate-spin", "--config", paths["simulate-spin"]]) == 0
+        return paths
+
+    @pytest.mark.parametrize(
+        "mode, config, absent",
+        [
+            ("simulate-homodyne", "simulate-homodyne", {"qtomo.spin", "qtomo.groups", "qtomo.mc"}),
+            ("simulate-spin", "simulate-spin", {"qtomo.homodyne", "qtomo.groups"}),
+            ("reconstruct", "reconstruct-spin", {"qtomo.homodyne", "qtomo.groups"}),
+            ("kernel-export", "kernel-export-homodyne", {"qtomo.spin", "qtomo.groups", "qtomo.mc"}),
+        ],
+        ids=["simulate-homodyne", "simulate-spin", "reconstruct-spin", "kernel-export-homodyne"],
+    )
+    def test_each_mode_loads_only_its_quorum(self, tmp_path, configs, mode, config, absent):
+        code, modules = modules_after_main(tmp_path, [mode, "--config", configs[config]])
+        assert code == 0
+        assert not modules & absent
+
+    def test_matrix_element_reconstruct_loads_no_masked_arrays(self, tmp_path, vacuum_state_path):
+        if run_python(tmp_path, "import numpy, sys; print('numpy.ma' in sys.modules)") == "True\n":
+            pytest.skip("a bare numpy import loads numpy.ma here")
+        records = tmp_path / "records.jsonl"
+        config = write_config(
+            tmp_path,
+            "run.json",
+            {
+                "seed": 2,
+                "count": 100,
+                "state_path": vacuum_state_path,
+                "records_path": str(records),
+                "target": {"type": "matrix-element", "n": 0, "l": 1},
+            },
+        )
+        assert cli.main(["simulate-homodyne", "--config", config]) == 0
+        code, modules = modules_after_main(tmp_path, ["reconstruct", "--config", config])
+        assert code == 0
+        assert "qtomo.numerics" in modules
+        assert "numpy.ma" not in modules
+
+    def test_package_loads_submodules_on_first_use(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import qtomo\n"
+            "assert [m for m in sys.modules if m.startswith('qtomo.')] == [], sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert set(qtomo.__all__) <= set(dir(qtomo))\n"
+            "assert qtomo.spin.__name__ == 'qtomo.spin'\n"
+            "assert 'qtomo.homodyne' not in sys.modules\n"
+            "from qtomo import *\n"
+            "assert homodyne.__name__ == 'qtomo.homodyne' and mc.__name__ == 'qtomo.mc'\n"
+            "try:\n"
+            "    qtomo.missing\n"
+            "except AttributeError:\n"
+            "    print('ok')\n"
+        )
+        assert run_python(tmp_path, script) == "ok\n"
 
 
 class TestJsonSerializer:

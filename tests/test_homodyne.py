@@ -247,6 +247,15 @@ def superposition_0_150():
     return homodyne.FockDensityMatrix(n_max, np.outer(amp, amp.conj()))
 
 
+def coherence_2_5():
+    """Mixed |2>, |5> with a complex coherence: harmonic k = 3 only, cos and sin."""
+    m = np.zeros((9, 9), dtype=complex)
+    m[2, 2] = m[5, 5] = 0.5
+    m[2, 5] = 0.3 + 0.2j
+    m[5, 2] = np.conj(m[2, 5])
+    return homodyne.FockDensityMatrix(8, m)
+
+
 def spectral_density_rows(rho, phis, nodes):
     """omega(phi, y) per phi on the nodes, from the spectral form of rho.
 
@@ -290,6 +299,7 @@ class TestSamplerOracle:
         "number5": lambda: homodyne.number_state(5, 16),
         "random8": lambda: random_state(np.random.default_rng(19), 8),
         "superposition150": superposition_0_150,
+        "coherence25": coherence_2_5,
     }
 
     @staticmethod
@@ -321,6 +331,22 @@ class TestSamplerOracle:
             got = np.interp(record["y"], edges, cdf[r])
             want = np.interp(y_dense[r], edges, cdf[r])
             assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, cos_k, sin_k",
+        [
+            ("number5", [], []),
+            ("vacuum", [], []),
+            ("coherence25", [3], [3]),
+            ("coherent", list(range(1, 25)), []),  # a real state has no sin columns
+            ("superposition150", [150], []),
+        ],
+    )
+    def test_tables_keep_only_the_harmonics_the_state_has(self, name, cos_k, sin_k):
+        sampler = homodyne._CdfSampler(self.STATES[name]())
+        assert sampler.cos_k.tolist() == cos_k
+        assert sampler.sin_k.tolist() == sin_k
+        assert sampler.tables.shape == (sampler.n_intervals, 1 + len(cos_k) + len(sin_k))
 
     @pytest.mark.parametrize("name", sorted(STATES))
     def test_chosen_level_meets_cdf_tolerance(self, name):
