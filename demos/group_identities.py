@@ -16,7 +16,7 @@ from qtomo import groups
 # Integrating the constant 1 over the ball of radius 2 pi with the radial
 # weight 4 sin^2(t/2) reproduces the full Haar volume 16 pi^2.
 # ----------------------------------------------------------------------
-volume = groups.haar_integral_su2(lambda g: 1.0, tol=1e-8).real
+volume = groups.haar_integral_su2(lambda g: 1.0).real
 print("chart volume of SU(2):")
 print(f"  quadrature {volume:.12f}")
 print(f"  16 pi^2    {groups.SU2_HAAR_VOLUME:.12f}")
@@ -48,7 +48,7 @@ v = rng.normal(size=2) + 1j * rng.normal(size=2)
 u /= np.linalg.norm(u)
 v /= np.linalg.norm(v)
 # the integrand sees a stack of chart points g, shape (r, 2, 2)
-coeff = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2, tol=1e-7).real
+coeff = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2).real
 print("\nsquared matrix coefficient for spin 1/2:")
 print(f"  quadrature {coeff:.9f}   expected 8 pi^2 = {8.0 * math.pi ** 2:.9f}")
 

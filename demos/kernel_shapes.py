@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qtomo import cli, homodyne, spin
+from qtomo import cli, homodyne, numerics, spin
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
@@ -40,9 +40,12 @@ for y in (0.0, 0.5, 1.0, 2.0, 3.0):
     value = homodyne.kernel_matrix_element(0, 0, y)
     print(f"  y = {y:3.1f}: {value.real:+.5f} {value.imag:+.5f}i")
 
-# cutoff insensitivity: the Gaussian envelope has died long before the cutoff
-a = homodyne.kernel_matrix_element(2, 1, 1.3, cutoff=12.0 + 2.0 * math.sqrt(3))
-b = homodyne.kernel_matrix_element(2, 1, 1.3, cutoff=18.0)
+# cutoff insensitivity: the envelope t L(t^2/2), L the normalized Laguerre
+# function, has died long before the cutoff; integrating it 6 further
+# leaves K = (-i)^l times its integral unchanged
+a = homodyne.kernel_matrix_element(2, 1, 1.3)
+envelope = lambda t: t * numerics.laguerre_function(2, 1, t * t / 2.0)
+b = -1j * numerics.integrate_oscillatory(envelope, 1.3, homodyne.default_kernel_cutoff(2, 1) + 6.0)
 print(f"\ncutoff stability of K_(2,1)(1.3): gap {abs(a - b):.2e}")
 
 # --- spin kernel versus polar angle ----------------------------------------

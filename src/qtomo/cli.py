@@ -137,26 +137,30 @@ def _spin_grid(target: dict, kernel, thetas):
     return spin.spin_records(axes, np.full(thetas.size, two_lambda))
 
 
+def _simulation_fields(cfg: dict):
+    """State path, count, seed and records path, all read before a sampler runs."""
+    fields = [("state_path", str), ("count", int), ("seed", int), ("records_path", str)]
+    return [_require(cfg, key, kind) for key, kind in fields]
+
+
 def _run_simulate_homodyne(cfg: dict) -> int:
     from . import homodyne
 
-    rho = homodyne.load_homodyne_state(_require(cfg, "state_path", str))
-    count = _require(cfg, "count", int)
-    seed = _require(cfg, "seed", int)
+    state_path, count, seed, records_path = _simulation_fields(cfg)
     convention = cfg.get("convention", "Y")
-    records = homodyne.sample_homodyne(rho, count, seed)
-    homodyne.write_homodyne_records(records, _require(cfg, "records_path", str), convention)
+    if convention not in ("Y", "X"):
+        raise ConfigError(f"field 'convention' must be 'Y' or 'X', got {convention!r}")
+    records = homodyne.sample_homodyne(homodyne.load_homodyne_state(state_path), count, seed)
+    homodyne.write_homodyne_records(records, records_path, convention)
     return 0
 
 
 def _run_simulate_spin(cfg: dict) -> int:
     from . import spin
 
-    rho = spin.load_spin_state(_require(cfg, "state_path", str))
-    count = _require(cfg, "count", int)
-    seed = _require(cfg, "seed", int)
-    records = spin.sample_spin(rho, count, seed)
-    spin.write_spin_records(records, _require(cfg, "records_path", str))
+    state_path, count, seed, records_path = _simulation_fields(cfg)
+    records = spin.sample_spin(spin.load_spin_state(state_path), count, seed)
+    spin.write_spin_records(records, records_path)
     return 0
 
 
@@ -229,7 +233,7 @@ def run_validation_suite(seed: int = 2024) -> dict:
             }
         )
 
-    volume = groups.haar_integral_su2(lambda g: 1.0, tol=1e-8).real
+    volume = groups.haar_integral_su2(lambda g: 1.0).real
     add(
         "haar_volume",
         volume,
@@ -274,11 +278,7 @@ def run_validation_suite(seed: int = 2024) -> dict:
     worst = 0.0
     for phi in rng.uniform(0.0, 2.0 * np.pi, size=10):
         total = numerics.integrate_real(
-            lambda y: homodyne.quadrature_density_grid(rho, float(phi), y),
-            -y_max,
-            y_max,
-            tol=1e-9,
-            min_panels=8,
+            lambda y: homodyne.quadrature_density_grid(rho, float(phi), y), -y_max, y_max
         )
         worst = max(worst, abs(total - 1.0))
     add("omega_normalization", worst, 0.0, worst, 1e-6)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 SU2_HAAR_VOLUME = 16.0 * math.pi**2
+# the chart ladder's tolerance, absolute for Haar and relative for orthogonality
+CHART_TOL = 1e-8
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -121,12 +123,13 @@ def su2_exponential(t: float, axis) -> np.ndarray:
 # oracle: there one block's (row, radial node) slab is 0.5 MB at the finest level
 _NODE_BLOCK = 256
 
-def _chart_ladder(level, tol: float, relative: bool, what: str | None = None) -> np.ndarray:
+def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
     """Chart integrals ``level(axes, sphere_w, t, t_w)`` on each level's rule,
     ``sphere_rule(order)`` x ``panel_rule`` on [0, 2 pi] with weights times 4
-    sin^2(t/2), until two levels agree within ``tol`` (times 1 + |value| if
+    sin^2(t/2), until two levels agree within CHART_TOL (times 1 + |value| if
     ``relative``) in every component; else QuadratureError with the last two
     estimates of the first that did not, named ``what k`` if ``what`` is given."""
+    tol = CHART_TOL
     prev = cur = None
     for sphere_order, radial_panels in ((16, 2), (24, 4), (48, 8), (96, 16)):
         axes, sphere_w = sphere_rule(sphere_order)
@@ -173,18 +176,18 @@ def _haar_level(f: Callable[[np.ndarray], np.ndarray], axes, sphere_w, t, t_w) -
     return 4.0 * math.pi * complex(np.cumsum(sphere_w * radial)[-1])
 
 
-def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-6) -> complex:
+def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray]) -> complex:
     """Haar integral over SU(2), normalized so the total volume is 16 pi^2.
 
     Integrates through the exponential chart of radius 2 pi with the radial
     weight 4 sin^2(t/2), climbing the chart ladder of product rules until two
-    levels agree within ``tol``.
+    levels agree within CHART_TOL.
 
     ``f`` is called on stacks of chart points, shape (r, 2, 2), and returns
     r values, or one scalar that holds at every point; any other shape
     raises ValueError.
     """
-    return complex(_chart_ladder(partial(_haar_level, f), tol, relative=False)[0])
+    return complex(_chart_ladder(partial(_haar_level, f), relative=False)[0])
 
 
 def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +227,7 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
     Each vector has shape (2j+1,), giving one float, or all four are stacks
     of k quadruples, shape (k, 2j+1), giving k residuals.  The left side
     climbs the chart ladder of :func:`haar_integral_su2` until two levels
-    agree to 1e-8 relative for every quadruple, as they do at two_j = 16, 20,
+    agree to CHART_TOL relative for every quadruple, as they do at two_j = 16, 20,
     30, 40 and 41; otherwise QuadratureError names the first that did not.
     """
     dim = two_j + 1
@@ -235,7 +238,7 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
         if vec.shape != vecs[0].shape:
             raise ValueError("u1, u2, v1 and v2 must stack the same number of vectors")
     quads = u1, u2, v1, v2 = [np.atleast_2d(vec) for vec in vecs]
-    lhs = _chart_ladder(partial(_ortho_level, two_j, quads), 1e-8, relative=True, what="quadruple")
+    lhs = _chart_ladder(partial(_ortho_level, two_j, quads), relative=True, what="quadruple")
     degree = QuorumSpec.su2(two_j).formal_degree
     rhs = np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree
     residual = np.abs(lhs - rhs)

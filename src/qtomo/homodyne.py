@@ -53,7 +53,6 @@ PHASE_SIGN = +1
 
 TAIL_TOL = 1e-8
 CDF_TOL = 1e-4
-KERNEL_TOL = 1e-10
 
 _BASE_INTERVALS = 2048
 _SAMPLE_CHUNK = 8192
@@ -314,33 +313,29 @@ def _kernel_envelope(n: int, l: int, t: np.ndarray) -> np.ndarray:
     return t * numerics.laguerre_function(n, l, t * t / 2.0)
 
 
-def kernel_matrix_element(
-    n: int, l: int, y: float | np.ndarray, cutoff: float | None = None, tol: float = KERNEL_TOL
-) -> complex | np.ndarray:
+def kernel_matrix_element(n: int, l: int, y: float | np.ndarray) -> complex | np.ndarray:
     """Phase-free kernel factor K_{n,l}(y) of the matrix-element estimator.
 
     The full estimator for the element (n+l, n) is e^{i l phi} K_{n,l}(y),
     with K_{n,l}(y) = (-i)^l times the integral of e^{i y t} times the
-    normalized envelope over [0, ``cutoff``], by default
-    :func:`default_kernel_cutoff`, past which the envelope is below 1e-10; the
-    envelope carries the factor sqrt(n!/(n+l)!) 2^(-l/2), so ``tol`` bounds the
-    error of K itself for every n + l <= 200.  ``y`` is a scalar (complex
-    result) or a 1-d array of outcomes (one value each), integrated by
+    normalized envelope over [0, :func:`default_kernel_cutoff`], past which
+    the envelope is below 1e-10; the envelope carries the factor
+    sqrt(n!/(n+l)!) 2^(-l/2), so ``numerics.QUADRATURE_TOL`` bounds the error
+    of K itself for every n + l <= 200.  ``y`` is a scalar (complex result)
+    or a 1-d array of outcomes (one value each), integrated by
     :func:`numerics.integrate_oscillatory` on its one refinement ladder.
     Outcomes that share a panel count refine together until all settle, so
-    a value from an array call can differ, within ``tol``, from the value of
-    a one-at-a-time call.  This quadrature is the oracle of the Chebyshev
-    table that :class:`MatrixElementKernel` builds, and its evaluator past
-    the table.
+    a value from an array call can differ, within that tolerance, from the
+    value of a one-at-a-time call.  This quadrature is the oracle of the
+    Chebyshev table that :class:`MatrixElementKernel` builds, and its
+    evaluator past the table.
     """
     if n < 0 or l < 0:
         raise ValueError("kernel indices must satisfy n >= 0, l >= 0")
     if n + l > numerics.MAX_POLY_DEGREE:
         raise ValueError(f"n + l must not exceed {numerics.MAX_POLY_DEGREE}")
-    if cutoff is None:
-        cutoff = default_kernel_cutoff(n, l)
     integral = numerics.integrate_oscillatory(
-        lambda t: _kernel_envelope(n, l, t), y, cutoff, tol
+        lambda t: _kernel_envelope(n, l, t), y, default_kernel_cutoff(n, l)
     )
     return (-1j) ** (l % 4) * integral
 
@@ -358,10 +353,11 @@ class MatrixElementKernel:
     of that pair as the cutoff of its integral and the half-width of its
     table.  The first :meth:`evaluate` that needs the table builds it once: a
     Chebyshev interpolant of :func:`kernel_matrix_element` on [-Y, Y] by
-    :func:`numerics.chebyshev_fit`, within KERNEL_TOL of the quadrature.  Every
-    outcome with |y| <= Y takes its value from the table, a pure function of
-    (n, l, y); only outcomes past Y go through the quadrature, where a batch
-    value can differ within KERNEL_TOL from the same outcome evaluated alone.
+    :func:`numerics.chebyshev_fit`, within QUADRATURE_TOL of the quadrature.
+    Every outcome with |y| <= Y takes its value from the table, a pure
+    function of (n, l, y); only outcomes past Y go through the quadrature,
+    where a batch value can differ within that tolerance from the same
+    outcome evaluated alone.
     """
 
     def __init__(self, n: int, l: int):
@@ -380,7 +376,7 @@ class MatrixElementKernel:
         if inside.any():
             if self._table is None:
                 self._table = numerics.chebyshev_fit(
-                    lambda x: kernel_matrix_element(*self._base, self._y_max * x), KERNEL_TOL
+                    lambda x: kernel_matrix_element(*self._base, self._y_max * x)
                 )
             values[inside] = np.polynomial.chebyshev.chebval(y[inside] / self._y_max, self._table)
         if not inside.all():

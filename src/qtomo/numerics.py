@@ -31,6 +31,8 @@ __all__ = [
 MAX_POLY_DEGREE = 200
 
 HERMITIAN_TOL = 1e-12
+# the absolute tolerance of every ladder here, read at call time
+QUADRATURE_TOL = 1e-10
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -163,46 +165,44 @@ def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-def _refine(estimate: Callable[[int], np.ndarray], n_panels: int, tol: float):
+def _refine(estimate: Callable[[int], np.ndarray], n_panels: int):
     """The refinement ladder: double the panel count until two successive
-    ``estimate(n_panels)`` agree within ``tol`` in the real and the imaginary
-    part of every component, at most 14 times and never past 2**17 panels;
-    else QuadratureError with the estimates of the last two levels."""
+    ``estimate(n_panels)`` agree within QUADRATURE_TOL in the real and the
+    imaginary part of every component, at most 14 times and never past 2**17
+    panels; else QuadratureError with the estimates of the last two levels."""
     prev, cur = None, estimate(n_panels)
     for _ in range(_MAX_DOUBLINGS):
         if 2 * n_panels > _MAX_PANELS:
             break
         n_panels *= 2
         prev, cur = cur, estimate(n_panels)
-        if np.all(np.abs(cur.real - prev.real) <= tol) and np.all(
-            np.abs(cur.imag - prev.imag) <= tol
+        if np.all(np.abs(cur.real - prev.real) <= QUADRATURE_TOL) and np.all(
+            np.abs(cur.imag - prev.imag) <= QUADRATURE_TOL
         ):
             return cur
-    raise QuadratureError((prev, cur), tol)
+    raise QuadratureError((prev, cur), QUADRATURE_TOL)
 
 
-def integrate_real(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    min_panels: int = 1,
-) -> float:
+def integrate_real(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Composite Gauss-Legendre integral of a vectorized real integrand.
 
-    Panel count doubles from ``min_panels`` until two successive refinement
-    levels agree within ``tol`` (absolute); ``f`` must accept an ndarray of
-    nodes.  A ``min_panels`` above half the ladder's cap leaves no room for a
-    second level and raises ValueError.
+    The panel count starts at :func:`oscillatory_panel_count` of frequency 0
+    over |b - a|, so no panel is wider than pi / 2, and doubles until two
+    successive refinement levels agree within QUADRATURE_TOL (absolute);
+    ``f`` must accept an ndarray of nodes.  An interval that needs more than
+    2**15 initial panels raises QuadratureError naming it.
     """
-    if min_panels > _MAX_PANELS // 2:
-        raise ValueError(f"min_panels must be at most {_MAX_PANELS // 2}, got {min_panels}")
+    start = oscillatory_panel_count(0.0, abs(b - a))
+    # written so that a NaN width, whose count is NaN, fails too
+    if not start <= _MAX_INITIAL_PANELS:
+        reason = f"interval [{a!r}, {b!r}] needs more than {_MAX_INITIAL_PANELS} initial panels"
+        raise QuadratureError(None, QUADRATURE_TOL, reason)
 
     def estimate(n_panels):
         nodes, weights = panel_rule(a, b, n_panels)
         return np.sum(weights * np.asarray(f(nodes)))
 
-    return float(np.real(_refine(estimate, max(1, min_panels), tol)))
+    return float(np.real(_refine(estimate, int(start))))
 
 
 def oscillatory_panel_count(frequency: float | np.ndarray, cutoff: float):
@@ -224,7 +224,6 @@ def integrate_oscillatory(
     g: Callable[[np.ndarray], np.ndarray],
     frequency: float | np.ndarray,
     cutoff: float,
-    tol: float = 1e-10,
 ) -> complex | np.ndarray:
     """Integral of e^{i frequency t} g(t) over [0, cutoff].
 
@@ -232,14 +231,14 @@ def integrate_oscillatory(
     value per frequency).  The initial panel count resolves the oscillation
     of the phase factor; frequencies are grouped by it, and every group
     climbs the same doubling ladder as :func:`integrate_real`, with the real
-    and imaginary parts of each member required to settle within ``tol``.
-    A group doubles until all of its members settle, so a value from an
-    array call can differ, within ``tol``, from the value of a one-at-a-time
-    call.  ``g`` is evaluated once per panel count and call, and the phase
-    is factored per panel, e^{i f t} = e^{i f mid} e^{i f (t - mid)}.  A
-    frequency that needs more than 2**15 initial panels raises
-    QuadratureError naming it, so any finite input costs bounded time and
-    memory.
+    and imaginary parts of each member required to settle within
+    QUADRATURE_TOL.  A group doubles until all of its members settle, so a
+    value from an array call can differ, within that tolerance, from the
+    value of a one-at-a-time call.  ``g`` is evaluated once per panel count
+    and call, and the phase is factored per panel, e^{i f t} = e^{i f mid}
+    e^{i f (t - mid)}.  A frequency that needs more than 2**15 initial panels
+    raises QuadratureError naming it, so any finite input costs bounded time
+    and memory.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -254,7 +253,7 @@ def integrate_oscillatory(
     if np.any(too_many):
         raise QuadratureError(
             None,
-            tol,
+            QUADRATURE_TOL,
             f"frequency {flat[np.argmax(too_many)].item()!r} needs more than "
             f"{_MAX_INITIAL_PANELS} initial panels on [0, {cutoff!r}]",
         )
@@ -291,7 +290,7 @@ def integrate_oscillatory(
                 for block in np.split(group, range(rows, group.size, rows))
             ])
 
-        out[sel] = _refine(estimate, int(p), tol)
+        out[sel] = _refine(estimate, int(p))
     return out if freqs.ndim else complex(out[0])
 
 
@@ -312,18 +311,18 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], tol: float) -> np.ndarray:
+def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Chebyshev coefficients of an interpolant that agrees with ``f`` on
-    [-1, 1] within ``tol``; evaluate it with ``np.polynomial.chebyshev.chebval``.
+    [-1, 1] within QUADRATURE_TOL; evaluate it with ``chebyshev.chebval``.
 
     ``f`` maps an array of points to real or complex values.  The degree
     climbs one doubling ladder from 16 over Chebyshev points of the second
     kind, which are nested, so no point is evaluated twice: degree N is
-    accepted once its interpolant matches ``f`` within ``tol``, in the real
-    and the imaginary part, at the N new points of degree 2N.  Past degree
-    8192 it raises QuadratureError.
+    accepted once its interpolant matches ``f`` within QUADRATURE_TOL, in
+    the real and the imaginary part, at the N new points of degree 2N.  Past
+    degree 8192 it raises QuadratureError.
     """
-    degree = _CHEBYSHEV_START_DEGREE
+    tol, degree = QUADRATURE_TOL, _CHEBYSHEV_START_DEGREE
     values = np.asarray(f(_chebyshev_points(degree)))
     while degree <= _CHEBYSHEV_MAX_DEGREE:
         coeffs = _chebyshev_coefficients(values)

@@ -306,7 +306,7 @@ def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     """Estimator via direct quadrature of the oscillatory kernel integral.
 
     Integrates (2j+1)/pi * e^{i lambda t} Tr[A e^{-i t J_n}] sin^2(t/2) over
-    a full period to the default 1e-10 of :func:`numerics.integrate_oscillatory`
+    a full period to the QUADRATURE_TOL of :func:`numerics.integrate_oscillatory`
     and checks that the imaginary residue is below 1e-9 before discarding it.
     """
     a_matrix = numerics.require_hermitian(a_matrix)

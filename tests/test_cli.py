@@ -153,27 +153,30 @@ class TestRoundTrip:
         assert err["code"] == "config"
         assert "'two_j'" in err["message"]
 
-    def test_worker_env_var_never_changes_results(
-        self, tmp_path, vacuum_state_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "target",
+        [{"type": "photon-number"}, {"type": "matrix-element", "n": 1, "l": 1}],
+        ids=["photon-number", "matrix-element"],
+    )
+    def test_reconstruct_runs_write_identical_results(
+        self, tmp_path, vacuum_state_path, capsys, target
     ):
         payload = {
             "seed": 4,
             "count": 2000,
             "state_path": vacuum_state_path,
             "records_path": str(tmp_path / "records.jsonl"),
-            "output_path": str(tmp_path / "result.json"),
-            "target": {"type": "photon-number"},
+            "target": target,
         }
         config = write_config(tmp_path, "run.json", payload)
         assert cli.main(["simulate-homodyne", "--config", config]) == 0
-        assert cli.main(["reconstruct", "--config", config]) == 0
-        baseline = json.loads((tmp_path / "result.json").read_text())
-        monkeypatch.setenv("QTOMO_WORKERS", "4")
-        assert cli.main(["reconstruct", "--config", config]) == 0
-        sharded = json.loads((tmp_path / "result.json").read_text())
-        assert sharded["count"] == baseline["count"]
-        assert sharded["mean"][0] == pytest.approx(baseline["mean"][0], rel=1e-12)
-        assert sharded["stderr"][0] == pytest.approx(baseline["stderr"][0], rel=1e-12)
+        results = []
+        for name in ("first.json", "second.json"):
+            output = tmp_path / name
+            assert cli.main(["reconstruct", "--config", config, "--output", str(output)]) == 0
+            results.append(output.read_bytes())
+        assert results[0] == results[1]
+        assert json.loads(results[0])["count"] == 2000
 
     def test_floats_roundtrip_bit_faithfully(self, tmp_path, vacuum_state_path):
         payload = {
@@ -289,7 +292,7 @@ class TestKernelExport:
         grid = {"min": -20.0, "max": 20.0, "points": 41}
         rows, _ = self.export(tmp_path, {"type": "matrix-element", "n": 3, "l": 2}, grid)
         want = homodyne.kernel_matrix_element(3, 2, rows[:, 0])
-        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - want)) <= homodyne.KERNEL_TOL
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - want)) <= numerics.QUADRATURE_TOL
 
     def test_negative_l_is_the_conjugate_of_its_base_pair(self, tmp_path):
         grid = {"min": -4.0, "max": 4.0, "points": 17}
@@ -619,6 +622,43 @@ class TestErrors:
             "sim.json",
             {"seed": 1, "count": 5, "state_path": str(state_path), "records_path": str(records)},
         )
+        assert cli.main([mode, "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config"
+        assert message in err["message"]
+        assert not records.exists()
+
+    @pytest.mark.parametrize(
+        "mode, field, value, message",
+        [
+            ("simulate-homodyne", "records_path", None, "missing required field 'records_path'"),
+            ("simulate-spin", "records_path", None, "missing required field 'records_path'"),
+            ("simulate-homodyne", "records_path", 3, "field 'records_path' has wrong type"),
+            ("simulate-homodyne", "convention", "Z", "field 'convention' must be 'Y' or 'X'"),
+            ("simulate-spin", "seed", 1.5, "field 'seed' has wrong type"),
+        ],
+        ids=["homodyne-records", "spin-records", "records-type", "convention", "seed-type"],
+    )
+    def test_every_field_is_checked_before_sampling(
+        self, tmp_path, capsys, monkeypatch, mode, field, value, message
+    ):
+        def never(*args):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(homodyne, "sample_homodyne", never)
+        monkeypatch.setattr(spin, "sample_spin", never)
+        state = tmp_path / "state.json"
+        if mode == "simulate-spin":
+            spin.save_spin_state(spin.maximally_mixed(1), state)
+        else:
+            homodyne.save_homodyne_state(homodyne.vacuum_state(4), state)
+        records = tmp_path / "records.jsonl"
+        payload = dict(seed=1, count=200_000, state_path=str(state), records_path=str(records))
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        config = write_config(tmp_path, "sim.json", payload)
         assert cli.main([mode, "--config", config]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "config"

@@ -80,7 +80,6 @@ class TestRadialWeight:
             lambda t: np.array([groups.radial_weight(spec, v) for v in np.atleast_1d(t)]),
             1e-12,
             TWO_PI,
-            tol=1e-10,
         )
         assert spec.sphere_volume * radial == pytest.approx(
             groups.SU2_HAAR_VOLUME, abs=1e-8
@@ -89,12 +88,12 @@ class TestRadialWeight:
 
 class TestHaarIntegral:
     def test_unit_function_gives_chart_volume(self):
-        volume = groups.haar_integral_su2(lambda g: 1.0, tol=1e-8)
+        volume = groups.haar_integral_su2(lambda g: 1.0)
         assert volume.real == pytest.approx(groups.SU2_HAAR_VOLUME, rel=1e-6)
         assert abs(volume.imag) <= 1e-9
 
     def test_matrix_element_integrates_to_zero(self):
-        value = groups.haar_integral_su2(lambda g: g[..., 0, 0], tol=1e-8)
+        value = groups.haar_integral_su2(lambda g: g[..., 0, 0])
         assert abs(value) <= 1e-6
 
     def test_squared_coefficient_matches_formal_degree(self):
@@ -103,7 +102,7 @@ class TestHaarIntegral:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        value = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2, tol=1e-7)
+        value = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2)
         assert value.real == pytest.approx(8.0 * math.pi**2, rel=1e-6)
 
     def test_level_matches_pointwise_reference(self):
@@ -146,10 +145,11 @@ class TestHaarIntegral:
         with pytest.raises(ValueError, match="integrand returned shape"):
             groups.haar_integral_su2(f)
 
-    def test_cap_reports_the_last_two_levels(self):
-        # tol 0 is never met: the ladder runs to its last level
+    def test_cap_reports_the_last_two_levels(self, monkeypatch):
+        # a tolerance of 0 is never met: the ladder runs to its last level
+        monkeypatch.setattr(groups, "CHART_TOL", 0.0)
         with pytest.raises(numerics.QuadratureError) as info:
-            groups.haar_integral_su2(lambda g: 1.0, tol=0.0)
+            groups.haar_integral_su2(lambda g: 1.0)
         coarse, fine = info.value.estimates
         assert coarse != fine
         assert abs(fine - coarse) <= 1e-12 * groups.SU2_HAAR_VOLUME
@@ -196,7 +196,7 @@ class TestOrthogonality:
     def test_agrees_with_generic_haar_oracle(self):
         # same integral through the generic 2x2-matrix surface
         e0 = np.array([1.0, 0.0], dtype=complex)
-        via_haar = groups.haar_integral_su2(lambda g: abs(g[..., 0, 0]) ** 2, tol=1e-7)
+        via_haar = groups.haar_integral_su2(lambda g: abs(g[..., 0, 0]) ** 2)
         degree = groups.QuorumSpec.su2(1).formal_degree
         assert via_haar.real == pytest.approx(1.0 / degree * 1.0, rel=1e-6)
         residual = groups.orthogonality_residual(1, e0, e0, e0, e0)

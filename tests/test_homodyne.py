@@ -123,8 +123,6 @@ class TestQuadratureDensity:
                 lambda y: homodyne.quadrature_density_grid(rho, float(phi), y),
                 -y_max,
                 y_max,
-                tol=1e-9,
-                min_panels=8,
             )
             assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -144,8 +142,6 @@ class TestQuadratureDensity:
             lambda y: y * homodyne.quadrature_density_grid(rho, 0.0, y),
             -y_max,
             y_max,
-            tol=1e-9,
-            min_panels=8,
         )
         assert mean == pytest.approx(SQRT2, abs=1e-6)
 
@@ -160,8 +156,6 @@ class TestQuadratureDensity:
                 lambda y: y * homodyne.quadrature_density_grid(rho, phi, y),
                 -y_max,
                 y_max,
-                tol=1e-9,
-                min_panels=8,
             )
             want = SQRT2 * (np.exp(-1j * homodyne.PHASE_SIGN * phi) * a_mean).real
             assert mean == pytest.approx(want, abs=1e-6)
@@ -397,11 +391,26 @@ class TestKernel:
         assert got == pytest.approx(oracle, abs=1e-8)
 
     def test_cutoff_stability(self):
+        # the envelope integrated 8 past the default cutoff changes nothing
         for n, l in ((0, 0), (3, 2), (5, 5), (0, 10)):
-            for y in (-6.0, 0.0, 2.5, 6.0):
-                a = homodyne.kernel_matrix_element(n, l, y, cutoff=12.0 + 2.0 * math.sqrt(n + l))
-                b = homodyne.kernel_matrix_element(n, l, y, cutoff=16.0 + 2.0 * math.sqrt(n + l))
-                assert abs(a - b) <= 1e-10
+            ys = np.array([-6.0, 0.0, 2.5, 6.0])
+            longer = numerics.integrate_oscillatory(
+                lambda t: homodyne._kernel_envelope(n, l, t),
+                ys,
+                homodyne.default_kernel_cutoff(n, l) + 8.0,
+            )
+            got = homodyne.kernel_matrix_element(n, l, ys)
+            assert np.max(np.abs(got - (-1j) ** l * longer)) <= 1e-10
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2), (5, 5), (20, 10)])
+    def test_reflection_is_the_parity_times_the_conjugate(self, n, l):
+        # K(-y) = (-1)^l conj K(y): bit for bit on numpy 2; 1e-14 leaves room
+        # for another numpy's exp
+        ys = np.array([0.0, 0.3, 1.7, 4.0, 9.5, 25.0])
+        reflected = homodyne.kernel_matrix_element(n, l, -ys)
+        want = (-1) ** l * np.conj(homodyne.kernel_matrix_element(n, l, ys))
+        assert np.max(np.abs(reflected.real - want.real)) <= 1e-14
+        assert np.max(np.abs(reflected.imag - want.imag)) <= 1e-14
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(33)
@@ -534,8 +543,8 @@ class TestKernelTable:
         got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
         assert kernel._table is not None
         want = self.base_values(n, l, ys)
-        assert np.max(np.abs(got.real - want.real)) <= homodyne.KERNEL_TOL
-        assert np.max(np.abs(got.imag - want.imag)) <= homodyne.KERNEL_TOL
+        assert np.max(np.abs(got.real - want.real)) <= numerics.QUADRATURE_TOL
+        assert np.max(np.abs(got.imag - want.imag)) <= numerics.QUADRATURE_TOL
 
     @pytest.mark.parametrize("n, l", KERNELS)
     def test_batch_and_single_records_are_bit_identical(self, n, l):

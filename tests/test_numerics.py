@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtomo import numerics
+from qtomo import groups, homodyne, numerics
 
 def laguerre_series(n, l, x):
     """Independent explicit-series oracle: sum_k (-1)^k C(n+l, n-k) x^k / k!."""
@@ -29,8 +30,7 @@ class TestLaguerreFunction:
     def test_unit_norm_up_to_the_degree_limit(self, n, l):
         # the squares integrate to 1; past x = 1400 they are below 1e-100
         norm = numerics.integrate_real(
-            lambda x: numerics.laguerre_function(n, l, x) ** 2, 0.0, 1400.0, tol=1e-10,
-            min_panels=64,
+            lambda x: numerics.laguerre_function(n, l, x) ** 2, 0.0, 1400.0
         )
         assert norm == pytest.approx(1.0, abs=1e-9)
 
@@ -61,7 +61,7 @@ class TestOscillatorEigenfunctions:
 
     def test_normalization_by_quadrature(self):
         norm = numerics.integrate_real(
-            lambda x: numerics.oscillator_eigenfunctions(3, x)[3] ** 2, -12.0, 12.0, tol=1e-10
+            lambda x: numerics.oscillator_eigenfunctions(3, x)[3] ** 2, -12.0, 12.0
         )
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -72,8 +72,6 @@ class TestOscillatorEigenfunctions:
                     lambda t: np.prod(numerics.oscillator_eigenfunctions(m, t)[[n, m]], axis=0),
                     -14.0,
                     14.0,
-                    tol=1e-9,
-                    min_panels=4,
                 )
                 assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-7)
 
@@ -92,17 +90,33 @@ class TestIntegrateReal:
         val = numerics.integrate_real(lambda t: t * np.exp(-t * t / 4.0), 0.0, 20.0)
         assert val == pytest.approx(2.0, abs=1e-10)
 
-    def test_start_with_room_for_a_second_level(self):
-        value = numerics.integrate_real(lambda t: np.ones_like(t), 0.0, 1.0, min_panels=2**16)
-        assert value == pytest.approx(1.0, abs=1e-12)
+    def test_widest_interval_takes_a_second_level(self):
+        # the widest interval that may start, at 2**15 panels of width pi / 2
+        width = 2**15 * math.pi / 2.0
+        assert numerics.oscillatory_panel_count(0.0, width) == 2**15
+        sizes = []
 
-    def test_start_past_the_ladder_room_is_rejected(self):
-        with pytest.raises(ValueError, match="at most 65536"):
-            numerics.integrate_real(lambda t: np.ones_like(t), 0.0, 1.0, min_panels=2**17)
+        def f(t):
+            sizes.append(t.size)
+            return np.exp(-t)
 
-    def test_refinement_cap_reports_estimates(self):
+        assert numerics.integrate_real(f, 0.0, width) == pytest.approx(1.0, abs=1e-12)
+        assert sizes == [16 * 2**15, 16 * 2**16]
+
+    @pytest.mark.parametrize("b", [1e6, math.inf, math.nan])
+    def test_interval_past_the_start_cap_is_rejected(self, b):
+        calls = []
+        with pytest.raises(numerics.QuadratureError, match=r"interval \[0.0, ") as err:
+            numerics.integrate_real(lambda t: calls.append(t) or np.ones_like(t), 0.0, b)
+        assert f"{b!r}] needs more than 32768 initial panels" in str(err.value)
+        assert err.value.estimates is None
+        assert calls == []
+
+    def test_refinement_cap_reports_estimates(self, monkeypatch):
+        # a tolerance of 0 is never met: the ladder runs to its cap
+        monkeypatch.setattr(numerics, "QUADRATURE_TOL", 0.0)
         with pytest.raises(numerics.QuadratureError) as err:
-            numerics.integrate_real(lambda t: np.sin(1e7 * t) ** 2, 0.0, 1.0, tol=0.0)
+            numerics.integrate_real(lambda t: np.sin(1e7 * t) ** 2, 0.0, 1.0)
         assert len(err.value.estimates) == 2
         # the last two levels, not the last one twice
         coarse, fine = err.value.estimates
@@ -148,10 +162,11 @@ class TestIntegrateOscillatory:
             assert abs(value - want) <= 1e-12
             assert abs(numerics.integrate_oscillatory(g, float(freq), 20.0) - want) <= 1e-12
 
-    def test_array_refinement_cap_reports_estimates(self):
+    def test_array_refinement_cap_reports_estimates(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUADRATURE_TOL", 0.0)
         with pytest.raises(numerics.QuadratureError) as err:
             numerics.integrate_oscillatory(
-                lambda t: np.sin(1e7 * t) ** 2, np.array([0.0, 2.0, 9.0]), 1.0, tol=0.0
+                lambda t: np.sin(1e7 * t) ** 2, np.array([0.0, 2.0, 9.0]), 1.0
             )
         assert len(err.value.estimates) == 2
         coarse, fine = err.value.estimates
@@ -203,7 +218,7 @@ class TestIntegrateOscillatory:
             with pytest.raises(numerics.QuadratureError, match="frequency 1.7e"):
                 numerics.integrate_oscillatory(lambda t: np.ones_like(t), 1.7e308, 16.5)
 
-    def test_ladder_never_passes_the_panel_cap(self):
+    def test_ladder_never_passes_the_panel_cap(self, monkeypatch):
         # the highest frequency that may start, at 2**15 panels on [0, 1]
         freq = 2**15 * math.pi / 2.0 - 1.0
         assert numerics.oscillatory_panel_count(freq, 1.0) == 2**15
@@ -213,20 +228,22 @@ class TestIntegrateOscillatory:
             sizes.append(t.size)
             return np.sin(1e7 * t) ** 2
 
+        monkeypatch.setattr(numerics, "QUADRATURE_TOL", 0.0)
         with pytest.raises(numerics.QuadratureError):
-            numerics.integrate_oscillatory(g, freq, 1.0, tol=0.0)
+            numerics.integrate_oscillatory(g, freq, 1.0)
         assert max(sizes) == 16 * 2**17
 
 
 class TestChebyshevFit:
-    def test_fits_a_smooth_complex_function_without_repeating_points(self):
+    def test_fits_a_smooth_complex_function_without_repeating_points(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUADRATURE_TOL", 1e-12)
         seen = []
 
         def f(x):
             seen.append(x)
             return np.exp(x) * (1.0 + 0.5j * np.sin(3.0 * x))
 
-        coeffs = numerics.chebyshev_fit(f, 1e-12)
+        coeffs = numerics.chebyshev_fit(f)
         points = np.concatenate(seen)
         # degree N is accepted at the N new points of degree 2N
         assert points.size == 2 * (coeffs.size - 1) + 1
@@ -245,7 +262,29 @@ class TestChebyshevFit:
 
     def test_raises_past_the_degree_cap(self):
         with pytest.raises(numerics.QuadratureError, match="degree <= 8192"):
-            numerics.chebyshev_fit(np.sign, 1e-10)
+            numerics.chebyshev_fit(np.sign)
+
+
+class TestNoToleranceArguments:
+    # each tolerance is a module constant, not an argument a caller passes
+    @pytest.mark.parametrize(
+        "function, params",
+        [
+            (groups.haar_integral_su2, ["f"]),
+            (numerics.integrate_real, ["f", "a", "b"]),
+            (numerics.integrate_oscillatory, ["g", "frequency", "cutoff"]),
+            (numerics.chebyshev_fit, ["f"]),
+            (homodyne.kernel_matrix_element, ["n", "l", "y"]),
+        ],
+        ids=lambda v: getattr(v, "__name__", ""),
+    )
+    def test_signature(self, function, params):
+        assert list(inspect.signature(function).parameters) == params
+
+    def test_one_value_per_tolerance(self):
+        assert numerics.QUADRATURE_TOL == 1e-10
+        assert groups.CHART_TOL == 1e-8
+        assert not hasattr(homodyne, "KERNEL_TOL")
 
 
 def random_axes(rng, count):
