@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "RecordError", "format_float", "dumps", "check_rows", "check_batch", "number",
+    "RecordError", "format_float", "dumps", "check_rows", "check_batch", "integer", "number",
     "line_regex", "write_jsonl", "read_jsonl", "rows_at_lines", "complex_matrix",
     "save_state", "load_state",
 ]
@@ -93,6 +93,13 @@ def check_batch(records, dtype: np.dtype, kind: str) -> None:
     """TypeError unless ``records`` is a record batch of the given dtype."""
     if not (isinstance(records, np.ndarray) and records.dtype == dtype):
         raise TypeError(f"{kind} kernel requires a {kind} record batch")
+
+
+def integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer: an int, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def number(value, name: str) -> float:
@@ -245,7 +252,4 @@ def load_state(path, key: str) -> tuple[int, np.ndarray]:
     """``(size, matrix)`` of a state file written by :func:`save_state`; a
     ValueError names a size that is not a JSON integer or a bad ``rho`` entry."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    size = obj[key]
-    if type(size) is not int:
-        raise ValueError(f"state field {key!r} must be an integer, got {size!r}")
-    return size, complex_matrix(obj["rho"], "rho")
+    return integer(obj[key], f"state field {key!r}"), complex_matrix(obj["rho"], "rho")

@@ -21,13 +21,19 @@ from pathlib import Path
 
 __all__ = ["main", "run_validation_suite"]
 
-# flag -> (the config field it overrides, its type)
-_FLAGS = {
-    "seed": ("seed", int),
-    "count": ("count", int),
-    "state": ("state_path", str),
-    "records": ("records_path", str),
-    "output": ("output_path", str),
+# top-level config field -> (its JSON rule, the flag that overrides it); a
+# rule is a JSON kind, int a JSON integer and float a JSON number, or the
+# tuple of the values the field may take.  No mode reads any other field.
+_FIELDS = {
+    "mode": (str, None),
+    "seed": (int, "seed"),
+    "count": (int, "count"),
+    "state_path": (str, "state"),
+    "records_path": (str, "records"),
+    "output_path": (str, "output"),
+    "convention": (("Y", "X"), None),
+    "target": (dict, None),
+    "grid": (dict, None),
 }
 
 
@@ -40,44 +46,50 @@ def _fail(code: str, message: str) -> int:
     return 2
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _merged_config(args: argparse.Namespace) -> dict:
+    """The config with the mode's flags applied, every field checked against
+    its rule, the mode's own fields present and its defaults filled in."""
+    _, required, defaults = _MODES[args.mode]
+    if args.config is None and required:
+        raise ConfigError("--config is required for this mode")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = {} if args.config is None else json.loads(Path(args.config).read_text("utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {exc.filename}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def _merged_config(args: argparse.Namespace) -> dict:
-    cfg = _load_config(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    mode = cfg.get("mode")
-    if mode is not None and mode != args.mode:
-        raise ConfigError(f"config mode {mode!r} does not match subcommand {args.mode!r}")
-    if "cutoff" in cfg:
-        raise ConfigError("field 'cutoff' is not supported: kernel cutoffs come from (n, l)")
-    cfg["mode"] = args.mode
-    for flag in _MODES[args.mode][1]:
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[_FLAGS[flag][0]] = value
-    return cfg
+    for key, (_, flag) in _FIELDS.items():
+        if flag and getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
+    for key in cfg:
+        if key not in _FIELDS:
+            raise ConfigError(f"config field {key!r} is read by no mode")
+        _require(cfg, key, _FIELDS[key][0])
+    if cfg.setdefault("mode", args.mode) != args.mode:
+        raise ConfigError(f"config mode {cfg['mode']!r} does not match subcommand {args.mode!r}")
+    for key in required:
+        _require(cfg, key)
+    return {**defaults, **cfg}
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
+def _require(obj: dict, key: str, rule=None):
+    """``obj[key]``, a float under the rule float, if it keeps ``rule`` (as
+    in ``_FIELDS``, or None for any value); else a ConfigError naming it."""
+    from ._jsonio import integer, number
+
+    if key not in obj:
         raise ConfigError(f"config is missing required field {key!r}")
-    return _checked(key, cfg[key], kind)
-
-
-def _checked(key: str, value, kind=None):
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"field {key!r} must be an integer")
-    if kind is not None and not isinstance(value, kind):
+    value = obj[key]
+    if isinstance(rule, tuple) and value not in rule:
+        raise ConfigError(f"field {key!r} must be {' or '.join(map(repr, rule))}, got {value!r}")
+    if rule is int or rule is float:
+        try:
+            return (integer if rule is int else number)(value, key)
+        except ValueError:
+            raise ConfigError(f"field {key!r} has wrong type {type(value).__name__}") from None
+    if isinstance(rule, type) and not isinstance(value, rule):
         raise ConfigError(f"field {key!r} has wrong type {type(value).__name__}")
     return value
 
@@ -86,8 +98,9 @@ def _target(cfg: dict):
     """Kernel, record reader, observable id and grid batch builder of the
     config's target; the one place that reads a target's type, and so the
     one place that picks the quorum module a run imports."""
-    target = _require(cfg, "target", dict)
-    kind = _require(target, "type")
+    target = cfg["target"]
+    kinds = ("matrix-element", "photon-number", "spin-matrix", "spin-operator")
+    kind = _require(target, "type", kinds)
     if kind in ("matrix-element", "photon-number"):
         from . import homodyne
 
@@ -96,8 +109,6 @@ def _target(cfg: dict):
             return homodyne.PhotonNumberKernel(), read, "photon-number", _homodyne_grid
         n, l = _require(target, "n", int), _require(target, "l", int)
         return homodyne.MatrixElementKernel(n, l), read, f"rho[{n + l},{n}]", _homodyne_grid
-    if kind not in ("spin-matrix", "spin-operator"):
-        raise ConfigError(f"unknown target type {kind!r}")
     from . import spin
     from ._jsonio import complex_matrix
 
@@ -105,13 +116,9 @@ def _target(cfg: dict):
     if kind == "spin-matrix":
         operator = complex_matrix(_require(target, "matrix", list))
         return spin.SpinOperatorKernel(operator), read, "spin-matrix", _spin_grid
-    name = _require(target, "name", str)
-    two_j = target.get("two_j", cfg.get("two_j"))
-    if two_j is None:
-        raise ConfigError("named spin operators need 'two_j' in the target or config")
-    named = dict(zip(("Jx", "Jy", "Jz"), spin.spin_matrices(_checked("two_j", two_j, int))))
-    if name not in named:
-        raise ConfigError(f"unknown spin operator {name!r}; use Jx, Jy or Jz")
+    names = ("Jx", "Jy", "Jz")
+    name = _require(target, "name", names)
+    named = dict(zip(names, spin.spin_matrices(_require(target, "two_j", int))))
     return spin.SpinOperatorKernel(named[name]), read, name, _spin_grid
 
 
@@ -137,30 +144,20 @@ def _spin_grid(target: dict, kernel, thetas):
     return spin.spin_records(axes, np.full(thetas.size, two_lambda))
 
 
-def _simulation_fields(cfg: dict):
-    """State path, count, seed and records path, all read before a sampler runs."""
-    fields = [("state_path", str), ("count", int), ("seed", int), ("records_path", str)]
-    return [_require(cfg, key, kind) for key, kind in fields]
-
-
 def _run_simulate_homodyne(cfg: dict) -> int:
     from . import homodyne
 
-    state_path, count, seed, records_path = _simulation_fields(cfg)
-    convention = cfg.get("convention", "Y")
-    if convention not in ("Y", "X"):
-        raise ConfigError(f"field 'convention' must be 'Y' or 'X', got {convention!r}")
-    records = homodyne.sample_homodyne(homodyne.load_homodyne_state(state_path), count, seed)
-    homodyne.write_homodyne_records(records, records_path, convention)
+    rho = homodyne.load_homodyne_state(cfg["state_path"])
+    records = homodyne.sample_homodyne(rho, cfg["count"], cfg["seed"])
+    homodyne.write_homodyne_records(records, cfg["records_path"], cfg["convention"])
     return 0
 
 
 def _run_simulate_spin(cfg: dict) -> int:
     from . import spin
 
-    state_path, count, seed, records_path = _simulation_fields(cfg)
-    records = spin.sample_spin(spin.load_spin_state(state_path), count, seed)
-    spin.write_spin_records(records, records_path)
+    records = spin.sample_spin(spin.load_spin_state(cfg["state_path"]), cfg["count"], cfg["seed"])
+    spin.write_spin_records(records, cfg["records_path"])
     return 0
 
 
@@ -169,7 +166,7 @@ def _run_reconstruct(cfg: dict) -> int:
     from ._jsonio import RecordError, dumps, rows_at_lines
 
     kernel, read, observable, _ = _target(cfg)
-    records_path = _require(cfg, "records_path", str)
+    records_path = cfg["records_path"]
     records = read(records_path)
     if len(records) == 0:
         raise RecordError(records_path, "file holds no records")
@@ -182,9 +179,8 @@ def _run_reconstruct(cfg: dict) -> int:
         "count": result["count"],
     }
     text = dumps(payload) + "\n"
-    out = cfg.get("output_path")
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if cfg["output_path"]:
+        Path(cfg["output_path"]).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -198,9 +194,8 @@ def _run_kernel_export(cfg: dict) -> int:
     from ._jsonio import format_float
 
     kernel, _, _, grid_batch = _target(cfg)
-    grid = _require(cfg, "grid", dict)
-    lo = float(_require(grid, "min", (int, float)))
-    hi = float(_require(grid, "max", (int, float)))
+    grid = cfg["grid"]
+    lo, hi = _require(grid, "min", float), _require(grid, "max", float)
     points = _require(grid, "points", int)
     if points < 2 or not -math.inf < lo < hi < math.inf:
         raise ConfigError("grid needs points >= 2 and finite max > min")
@@ -208,7 +203,7 @@ def _run_kernel_export(cfg: dict) -> int:
     values = kernel.evaluate(grid_batch(cfg["target"], kernel, xs))
     lines = ["grid_point,kernel_re,kernel_im"]
     lines += [",".join(map(format_float, row)) for row in zip(xs, values.real, values.imag)]
-    Path(_require(cfg, "output_path", str)).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(cfg["output_path"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -297,26 +292,28 @@ def run_validation_suite(seed: int = 2024) -> dict:
 def _run_validate(cfg: dict) -> int:
     from ._jsonio import dumps
 
-    report = run_validation_suite(_checked("seed", cfg.get("seed", 2024), int))
+    report = run_validation_suite(cfg["seed"])
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         sys.stdout.write(
             f"{check['name']}: {check['value']:.12g} vs {check['reference']:.12g} "
             f"(error {check['error']:.3e}, tol {check['tolerance']:.1e}) {status}\n"
         )
-    out = cfg.get("output_path")
-    if out:
-        Path(out).write_text(dumps(report) + "\n", encoding="utf-8")
+    if cfg["output_path"]:
+        Path(cfg["output_path"]).write_text(dumps(report) + "\n", encoding="utf-8")
     return 0 if report["passed"] else 1
 
 
-# mode -> (runner, the flags it reads besides --config)
+_SIMULATE = ("state_path", "count", "seed", "records_path")
+
+# mode -> (runner, the fields it requires, the other fields it reads with
+# their defaults); each field a mode reads that has a flag gives it that flag
 _MODES = {
-    "simulate-homodyne": (_run_simulate_homodyne, ("seed", "count", "state", "records")),
-    "simulate-spin": (_run_simulate_spin, ("seed", "count", "state", "records")),
-    "reconstruct": (_run_reconstruct, ("records", "output")),
-    "kernel-export": (_run_kernel_export, ("output",)),
-    "validate": (_run_validate, ("seed", "output")),
+    "simulate-homodyne": (_run_simulate_homodyne, _SIMULATE, {"convention": "Y"}),
+    "simulate-spin": (_run_simulate_spin, _SIMULATE, {}),
+    "reconstruct": (_run_reconstruct, ("target", "records_path"), {"output_path": None}),
+    "kernel-export": (_run_kernel_export, ("target", "grid", "output_path"), {}),
+    "validate": (_run_validate, (), {"seed": 2024, "output_path": None}),
 }
 
 
@@ -326,12 +323,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="group-based quantum tomography: simulate, reconstruct, validate",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (_, flags) in _MODES.items():
+    for mode, (_, required, defaults) in _MODES.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config document")
-        for flag in flags:
-            field, kind = _FLAGS[flag]
-            p.add_argument(f"--{flag}", type=kind, help=f"override {field}")
+        for field, (kind, flag) in _FIELDS.items():
+            if flag and (field in required or field in defaults):
+                p.add_argument(f"--{flag}", type=kind, help=f"override {field}")
     return parser
 
 
@@ -342,10 +339,7 @@ def main(argv=None) -> int:
     from .numerics import QuadratureError
 
     try:
-        cfg = _merged_config(args)
-        if args.mode != "validate" and args.config is None:
-            raise ConfigError("--config is required for this mode")
-        return _MODES[args.mode][0](cfg)
+        return _MODES[args.mode][0](_merged_config(args))
     except ConfigError as exc:
         return _fail("config", str(exc))
     except RecordError as exc:

@@ -365,6 +365,8 @@ class MatrixElementKernel:
             raise ValueError("indices must satisfy n >= 0 and n + l >= 0")
         self.n, self.l = n, l
         self._base = (n, l) if l >= 0 else (n + l, -l)
+        if sum(self._base) > numerics.MAX_POLY_DEGREE:
+            raise ValueError(f"n + l must not exceed {numerics.MAX_POLY_DEGREE}")
         self._y_max = default_kernel_cutoff(*self._base)
         self._table = None
 

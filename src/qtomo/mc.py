@@ -83,20 +83,16 @@ def finalize(acc: RunningEstimate) -> dict:
     }
 
 
-def reconstruct(records, kernel, shards: int = 1) -> dict:
+def reconstruct(records, kernel) -> dict:
     """Average the estimator kernel over a record batch.
 
-    The values are split into ``shards`` contiguous parts, each reduced by
-    :func:`moments` and combined with :func:`merge`; the result is identical
-    (to roundoff) for any shard count.  A kernel value that is not finite
-    (an outcome so large that its estimator overflows), or whose real or
-    imaginary part is so large that the sum of squared deviations of the
-    batch could overflow, raises RecordError naming the first such record.
+    A kernel value that is not finite (an outcome so large that its
+    estimator overflows), or whose real or imaginary part is so large that
+    the sum of squared deviations of the batch could overflow, raises
+    RecordError naming the first such record.
     """
     if len(records) == 0:
         raise ValueError("cannot reconstruct from an empty record stream")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(kernel.evaluate(records), dtype=complex)
     # each deviation is at most 2 * limit, so the sum of count squares stays finite
@@ -110,7 +106,4 @@ def reconstruct(records, kernel, shards: int = 1) -> dict:
             values,
         ),
     ])
-    acc = RunningEstimate()
-    for part in np.array_split(values, min(shards, len(records))):
-        acc = merge(acc, moments(part))
-    return finalize(acc)
+    return finalize(moments(values))

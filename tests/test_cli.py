@@ -347,6 +347,12 @@ class TestModeFlags:
         assert taken == {(mode, flag) for mode, flags in self.READS.items() for flag in flags}
         assert len(taken) == 18
 
+    def test_every_field_in_the_table_is_read_by_some_mode(self):
+        modes = cli._MODES.values()
+        read = {field for _, required, defaults in modes for field in (*required, *defaults)}
+        assert read | {"mode"} == set(cli._FIELDS)
+        assert len(cli._FIELDS) == 9
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -594,6 +600,130 @@ class TestErrors:
         assert err["code"] == "config"
         assert "'cutoff'" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def run_config(tmp_path, capsys, mode, extra):
+        """Exit code and error object of ``mode`` over a config that would run
+        but for ``extra``; asserts that nothing reached stdout or a file."""
+        state = tmp_path / "state.json"
+        homodyne.save_homodyne_state(homodyne.vacuum_state(2), state)
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 1.0}\n')
+        payload = {
+            "records_path": str(records),
+            "target": {"type": "photon-number"},
+            "grid": {"min": -1.0, "max": 1.0, "points": 3},
+            "output_path": str(tmp_path / "out"),
+            "state_path": str(state),
+            "count": 5,
+            "seed": 1,
+            **extra,
+        }
+        before = sorted(tmp_path.iterdir())
+        code = cli.main([mode, "--config", write_config(tmp_path, "cfg.json", payload)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == sorted([*before, tmp_path / "cfg.json"])
+        assert records.read_text() == '{"phi": 0.5, "y": 1.0}\n'
+        return code, json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize(
+        "mode, extra, field",
+        [
+            ("reconstruct", {"ouput_path": "typo.json"}, "ouput_path"),
+            ("simulate-homodyne", {"convension": "X"}, "convension"),
+            ("validate", {"seeed": 3}, "seeed"),
+            (
+                "reconstruct",
+                {"target": {"type": "spin-operator", "name": "Jz"}, "two_j": 1},
+                "two_j",
+            ),
+        ],
+        ids=["reconstruct-output", "simulate-convention", "validate-seed", "top-level-two_j"],
+    )
+    def test_a_field_no_mode_reads_is_rejected(self, tmp_path, capsys, mode, extra, field):
+        code, err = self.run_config(tmp_path, capsys, mode, extra)
+        assert code == 2
+        assert err == {"code": "config", "message": f"config field {field!r} is read by no mode"}
+
+    @pytest.mark.parametrize(
+        "mode, extra, message",
+        [
+            ("reconstruct", {"count": "10"}, "field 'count' has wrong type str"),
+            ("simulate-spin", {"output_path": 3}, "field 'output_path' has wrong type int"),
+            ("validate", {"target": []}, "field 'target' has wrong type list"),
+        ],
+        ids=["reconstruct-count", "simulate-output", "validate-target"],
+    )
+    def test_a_field_another_mode_reads_is_still_checked(
+        self, tmp_path, capsys, mode, extra, message
+    ):
+        code, err = self.run_config(tmp_path, capsys, mode, extra)
+        assert code == 2
+        assert err["code"] == "config"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("bound", ["min", "max"])
+    @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "string", "null"])
+    def test_grid_bounds_are_json_numbers(self, tmp_path, capsys, bound, value):
+        grid = {"min": 0.0, "max": 2.0, "points": 3, bound: value}
+        code, err = self.run_config(tmp_path, capsys, "kernel-export", {"grid": grid})
+        assert code == 2
+        assert err == {
+            "code": "config", "message": f"field {bound!r} has wrong type {type(value).__name__}"
+        }
+
+    def test_kernel_degree_is_checked_before_the_records_are_read(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 1.0}\n{"phi": 9.0, "y": 1.0}\n')
+        target = {"type": "matrix-element", "n": 300, "l": 0}
+        payload = {"records_path": str(records), "target": target}
+        config = write_config(tmp_path, "rec.json", payload)
+        assert cli.main(["reconstruct", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {"code": "config", "message": "ValueError: n + l must not exceed 200"}
+
+    @pytest.mark.parametrize(
+        "mode, target",
+        [
+            ("kernel-export", {"type": "spin-operator", "name": "Jz", "two_lambda": 0}),
+            ("reconstruct", {"type": "spin-operator", "name": "Jx"}),
+            ("reconstruct", {"type": "spin-matrix"}),
+            ("simulate-spin", None),
+        ],
+        ids=["export-named", "reconstruct-named", "reconstruct-matrix", "simulate-state"],
+    )
+    def test_spin_past_the_size_limit_fails_fast(self, tmp_path, capsys, mode, target):
+        two_j = spin.MAX_TWO_J + 1
+        state = tmp_path / "state.json"
+        spin.save_spin_state(spin.maximally_mixed(two_j), state)
+        records = tmp_path / "records.jsonl"
+        records.write_text(f'{{"axis": [0.0, 0.0, 1.0], "two_m": {two_j}}}\n')
+        payload = {
+            "seed": 1,
+            "count": 1000,
+            "state_path": str(state),
+            "records_path": str(records),
+            "grid": {"min": 0.0, "max": 1.0, "points": 2},
+            "output_path": str(tmp_path / "out"),
+        }
+        ones = [[[1, 0]] * (two_j + 1)] * (two_j + 1)
+        sizes = {"spin-operator": {"two_j": two_j}, "spin-matrix": {"matrix": ones}}
+        if target is not None:
+            payload["target"] = {**target, **sizes[target["type"]]}
+        config = write_config(tmp_path, "run.json", payload)
+        start = time.perf_counter()
+        assert cli.main([mode, "--config", config]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "config"
+        assert f"two_j must be in 1..{spin.MAX_TWO_J}, got {two_j}" in err["message"]
+        assert not (tmp_path / "out").exists()
+        assert records.read_text() == f'{{"axis": [0.0, 0.0, 1.0], "two_m": {two_j}}}\n'
 
     SPIN_UP = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 

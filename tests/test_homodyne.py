@@ -546,6 +546,16 @@ class TestKernelTable:
         assert np.max(np.abs(got.real - want.real)) <= numerics.QUADRATURE_TOL
         assert np.max(np.abs(got.imag - want.imag)) <= numerics.QUADRATURE_TOL
 
+    # the base pair of (n, l < 0) is (n + l, -l), of degree n
+    @pytest.mark.parametrize("n, l", [(201, 0), (0, 201), (201, -1), (300, -250)])
+    def test_degree_past_the_limit_is_rejected_when_built(self, n, l):
+        with pytest.raises(ValueError, match=f"must not exceed {numerics.MAX_POLY_DEGREE}"):
+            homodyne.MatrixElementKernel(n, l)
+
+    def test_degree_at_the_limit_is_accepted(self):
+        assert homodyne.MatrixElementKernel(200, -1)._base == (199, 1)
+        assert homodyne.MatrixElementKernel(150, 50)._table is None
+
     @pytest.mark.parametrize("n, l", KERNELS)
     def test_batch_and_single_records_are_bit_identical(self, n, l):
         rng = np.random.default_rng(3)

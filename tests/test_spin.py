@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestSpinMatrices:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(jz), np.arange(-j, j + 0.5), atol=1e-12
         )
+
+    @pytest.mark.parametrize("two_j", [0, spin.MAX_TWO_J + 1, 10**6])
+    def test_size_outside_the_limit_is_rejected_before_allocating(self, two_j):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"two_j must be in 1..{spin.MAX_TWO_J}"):
+            spin.spin_matrices(two_j)
+        assert time.perf_counter() - start < 0.1
+
+    def test_limit_admits_the_largest_tested_spin(self):
+        # the orthogonality oracle converges up to two_j 41 and is tested there
+        assert spin.MAX_TWO_J >= 41
+        assert spin.spin_matrices(spin.MAX_TWO_J)[2].shape == (spin.MAX_TWO_J + 1,) * 2
 
 
 class TestAxisOperator:
