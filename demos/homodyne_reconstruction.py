@@ -56,6 +56,6 @@ print(
 
 # --- laboratory convention ------------------------------------------------
 # Records store the outcome of Y_phi; the measured lab quadrature is
-# X_phi = Y_phi / sqrt(2), available as an output convention.
+# X_phi = Y_phi / sqrt(2), whose lines the record reader also accepts.
 x_density = homodyne.quadrature_density_x(rho, 0.0, ALPHA / math.sqrt(2.0))
 print(f"\nX-convention density at the coherent peak: {x_density:.4f}")

@@ -155,7 +155,7 @@ def _format_lines(template: str, columns, floats: np.ndarray) -> str:
     return "".join(lines) % tuple(args)
 
 
-def read_jsonl(path, row, build, regex=None):
+def read_jsonl(path, row, build, regex):
     """``build`` of the flat float array of ``row(obj)`` over the nonblank lines.
 
     ``row`` turns one JSON object into a tuple of numbers.  If ``regex`` (of
@@ -165,7 +165,7 @@ def read_jsonl(path, row, build, regex=None):
     general per-line reader, the only source of parse errors: a bad line, or
     a record that ``build`` rejects, raises RecordError at ``path:line``.
     """
-    values = _read_canonical(path, regex) if regex is not None else None
+    values = _read_canonical(path, regex)
     if values is None:
         values = _read_lines(path, row)
     with rows_at_lines(path):

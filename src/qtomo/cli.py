@@ -31,10 +31,22 @@ _FIELDS = {
     "state_path": (str, "state"),
     "records_path": (str, "records"),
     "output_path": (str, "output"),
-    "convention": (("Y", "X"), None),
     "target": (dict, None),
     "grid": (dict, None),
 }
+
+# target type -> the rule of each other field of a target of that type;
+# two_lambda, the outcome of a spin target's grid, is read by kernel-export
+# alone, and the names are in the order of spin.spin_matrices
+_TARGETS = {
+    "matrix-element": {"n": int, "l": int},
+    "photon-number": {},
+    "spin-matrix": {"matrix": list, "two_lambda": int},
+    "spin-operator": {"name": ("Jx", "Jy", "Jz"), "two_j": int, "two_lambda": int},
+}
+
+# grid field -> its rule
+_GRID = {"min": float, "max": float, "points": int}
 
 
 class ConfigError(ValueError):
@@ -47,8 +59,9 @@ def _fail(code: str, message: str) -> int:
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
-    """The config with the mode's flags applied, every field checked against
-    its rule, the mode's own fields present and its defaults filled in."""
+    """The config with the mode's flags applied, every field at every depth
+    checked against its rule, the mode's own fields present and its
+    defaults filled in."""
     _, required, defaults = _MODES[args.mode]
     if args.config is None and required:
         raise ConfigError("--config is required for this mode")
@@ -63,10 +76,11 @@ def _merged_config(args: argparse.Namespace) -> dict:
     for key, (_, flag) in _FIELDS.items():
         if flag and getattr(args, flag, None) is not None:
             cfg[key] = getattr(args, flag)
-    for key in cfg:
-        if key not in _FIELDS:
-            raise ConfigError(f"config field {key!r} is read by no mode")
-        _require(cfg, key, _FIELDS[key][0])
+    for where, obj, table in _tables(cfg):
+        for key in obj:
+            if key not in table:
+                raise ConfigError(f"{where} field {key!r} is read by no mode")
+            obj[key] = _require(obj, key, table[key])
     if cfg.setdefault("mode", args.mode) != args.mode:
         raise ConfigError(f"config mode {cfg['mode']!r} does not match subcommand {args.mode!r}")
     for key in required:
@@ -74,9 +88,20 @@ def _merged_config(args: argparse.Namespace) -> dict:
     return {**defaults, **cfg}
 
 
+def _tables(cfg: dict):
+    """(name, object, table of rules) of the config, its target and its grid,
+    each depth yielded once the depth above it is checked."""
+    yield "config", cfg, {key: rule for key, (rule, _) in _FIELDS.items()}
+    if "target" in cfg:
+        kind = _require(cfg["target"], "type", tuple(_TARGETS))
+        yield "target", cfg["target"], {"type": tuple(_TARGETS), **_TARGETS[kind]}
+    if "grid" in cfg:
+        yield "grid", cfg["grid"], _GRID
+
+
 def _require(obj: dict, key: str, rule=None):
     """``obj[key]``, a float under the rule float, if it keeps ``rule`` (as
-    in ``_FIELDS``, or None for any value); else a ConfigError naming it."""
+    in the tables, or None for any value); else a ConfigError naming it."""
     from ._jsonio import integer, number
 
     if key not in obj:
@@ -96,29 +121,27 @@ def _require(obj: dict, key: str, rule=None):
 
 def _target(cfg: dict):
     """Kernel, record reader, observable id and grid batch builder of the
-    config's target; the one place that reads a target's type, and so the
-    one place that picks the quorum module a run imports."""
+    config's checked target; the one place that reads a target's type, and
+    so the one place that picks the quorum module a run imports."""
     target = cfg["target"]
-    kinds = ("matrix-element", "photon-number", "spin-matrix", "spin-operator")
-    kind = _require(target, "type", kinds)
+    kind = target["type"]
     if kind in ("matrix-element", "photon-number"):
         from . import homodyne
 
         read = homodyne.read_homodyne_records
         if kind == "photon-number":
             return homodyne.PhotonNumberKernel(), read, "photon-number", _homodyne_grid
-        n, l = _require(target, "n", int), _require(target, "l", int)
+        n, l = _require(target, "n"), _require(target, "l")
         return homodyne.MatrixElementKernel(n, l), read, f"rho[{n + l},{n}]", _homodyne_grid
     from . import spin
     from ._jsonio import complex_matrix
 
     read = spin.read_spin_records
     if kind == "spin-matrix":
-        operator = complex_matrix(_require(target, "matrix", list))
+        operator = complex_matrix(_require(target, "matrix"))
         return spin.SpinOperatorKernel(operator), read, "spin-matrix", _spin_grid
-    names = ("Jx", "Jy", "Jz")
-    name = _require(target, "name", names)
-    named = dict(zip(names, spin.spin_matrices(_require(target, "two_j", int))))
+    name = _require(target, "name")
+    named = dict(zip(_TARGETS[kind]["name"], spin.spin_matrices(_require(target, "two_j"))))
     return spin.SpinOperatorKernel(named[name]), read, name, _spin_grid
 
 
@@ -138,7 +161,7 @@ def _spin_grid(target: dict, kernel, thetas):
 
     from . import spin
 
-    two_lambda = _require(target, "two_lambda", int)
+    two_lambda = _require(target, "two_lambda")
     spin.check_two_m(kernel.two_j, two_lambda)
     axes = np.stack([np.sin(thetas), np.zeros(thetas.size), np.cos(thetas)], axis=1)
     return spin.spin_records(axes, np.full(thetas.size, two_lambda))
@@ -149,7 +172,7 @@ def _run_simulate_homodyne(cfg: dict) -> int:
 
     rho = homodyne.load_homodyne_state(cfg["state_path"])
     records = homodyne.sample_homodyne(rho, cfg["count"], cfg["seed"])
-    homodyne.write_homodyne_records(records, cfg["records_path"], cfg["convention"])
+    homodyne.write_homodyne_records(records, cfg["records_path"])
     return 0
 
 
@@ -195,8 +218,7 @@ def _run_kernel_export(cfg: dict) -> int:
 
     kernel, _, _, grid_batch = _target(cfg)
     grid = cfg["grid"]
-    lo, hi = _require(grid, "min", float), _require(grid, "max", float)
-    points = _require(grid, "points", int)
+    lo, hi, points = _require(grid, "min"), _require(grid, "max"), _require(grid, "points")
     if points < 2 or not -math.inf < lo < hi < math.inf:
         raise ConfigError("grid needs points >= 2 and finite max > min")
     xs = np.linspace(lo, hi, points)
@@ -309,7 +331,7 @@ _SIMULATE = ("state_path", "count", "seed", "records_path")
 # mode -> (runner, the fields it requires, the other fields it reads with
 # their defaults); each field a mode reads that has a flag gives it that flag
 _MODES = {
-    "simulate-homodyne": (_run_simulate_homodyne, _SIMULATE, {"convention": "Y"}),
+    "simulate-homodyne": (_run_simulate_homodyne, _SIMULATE, {}),
     "simulate-spin": (_run_simulate_spin, _SIMULATE, {}),
     "reconstruct": (_run_reconstruct, ("target", "records_path"), {"output_path": None}),
     "kernel-export": (_run_kernel_export, ("target", "grid", "output_path"), {}),

@@ -1,8 +1,10 @@
 """Homodyne tomography of truncated-Fock-basis states.
 
 Records store the outcome of the quorum observable Y_phi = cos(phi) Q +
-sin(phi) P directly (the ``y`` convention); the laboratory quadrature
-X_phi = Y_phi / sqrt(2) is available as an explicit output convention.
+sin(phi) P directly (the ``y`` convention), and the writer emits only that.
+The reader also accepts lines of the laboratory quadrature X_phi = Y_phi /
+sqrt(2) under the key ``x``, and :func:`quadrature_density_x` gives its
+density.
 Density-matrix elements are estimated by the Laguerre-kernel estimator and
 the photon number by y^2 - 1/2.
 """
@@ -399,20 +401,18 @@ class PhotonNumberKernel:
         return estimator_photon_number(records).astype(complex)
 
 
-# The line shape the writer emits per convention; the reader's fast path
-# matches the Y shape, and an X file takes the general reader.
-_LINES = {"Y": '{"phi": %.17g, "y": %.17g}\n', "X": '{"phi": %.17g, "x": %.17g}\n'}
+# The one line shape the writer emits; the reader's fast path matches it.
+_LINE = '{"phi": %.17g, "y": %.17g}\n'
 
 
-def write_homodyne_records(records: np.ndarray, path, convention: str = "Y") -> None:
-    """JSONL stream; the X convention stores x = y / sqrt(2) under key "x"."""
-    if convention not in _LINES:
-        raise ValueError("convention must be 'Y' or 'X'")
-    outcome = records["y"] if convention == "Y" else records["y"] / math.sqrt(2.0)
-    write_jsonl(path, _LINES[convention], [records["phi"], outcome])
+def write_homodyne_records(records: np.ndarray, path) -> None:
+    """JSONL stream, one {"phi": phi, "y": y} object per line."""
+    write_jsonl(path, _LINE, [records["phi"], records["y"]])
 
 
 def _row_from_json(obj) -> tuple[float, float]:
+    if "y" in obj and "x" in obj:
+        raise ValueError("record line holds both outcome fields 'y' and 'x'")
     if "y" in obj:
         y = number(obj["y"], "y")
     elif "x" in obj:
@@ -427,8 +427,8 @@ def _batch_from_rows(values: np.ndarray) -> np.ndarray:
 
 
 def read_homodyne_records(path) -> np.ndarray:
-    """Record batch of a JSONL stream in either convention; errors name ``path:line``."""
-    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINES["Y"]))
+    """Record batch of a JSONL stream of y or x lines; errors name ``path:line``."""
+    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE))
 
 
 def save_homodyne_state(rho: FockDensityMatrix, path) -> None:

@@ -240,7 +240,7 @@ def integrate_oscillatory(
     raises QuadratureError naming it, so any finite input costs bounded time
     and memory.
     """
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     freqs = np.asarray(frequency, dtype=float)
     if freqs.ndim > 1:

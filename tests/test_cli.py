@@ -74,23 +74,30 @@ class TestSimulate:
         parsed = json.loads(lines[0])
         assert set(parsed) == {"phi", "y"}
 
-    def test_x_convention_output(self, tmp_path, vacuum_state_path):
-        records = tmp_path / "records_x.jsonl"
-        config = write_config(
-            tmp_path,
-            "sim.json",
-            {
-                "mode": "simulate-homodyne",
-                "seed": 3,
-                "count": 10,
-                "state_path": vacuum_state_path,
-                "records_path": str(records),
-                "convention": "X",
-            },
-        )
+    def test_x_lines_reconstruct_as_their_y_lines(self, tmp_path, vacuum_state_path, capsys):
+        # the simulator writes y lines only; x = y / sqrt(2) lines, written
+        # here by hand, reconstruct to the same photon number
+        y_records = tmp_path / "records.jsonl"
+        payload = {
+            "seed": 3,
+            "count": 200,
+            "state_path": vacuum_state_path,
+            "records_path": str(y_records),
+            "target": {"type": "photon-number"},
+        }
+        config = write_config(tmp_path, "run.json", payload)
         assert cli.main(["simulate-homodyne", "--config", config]) == 0
-        parsed = json.loads(records.read_text().strip().split("\n")[0])
-        assert set(parsed) == {"phi", "x"}
+        x_records = tmp_path / "records_x.jsonl"
+        batch = homodyne.read_homodyne_records(y_records)
+        x_records.write_text("".join(
+            f'{{"phi": {format_float(phi)}, "x": {format_float(y / math.sqrt(2.0))}}}\n'
+            for phi, y in zip(batch["phi"].tolist(), batch["y"].tolist())
+        ))
+        means = []
+        for records in (y_records, x_records):
+            assert cli.main(["reconstruct", "--config", config, "--records", str(records)]) == 0
+            means.append(json.loads(capsys.readouterr().out)["mean"])
+        assert means[1] == pytest.approx(means[0], rel=1e-14, abs=1e-14)
 
 
 class TestRoundTrip:
@@ -145,13 +152,15 @@ class TestRoundTrip:
             "target": {"type": "spin-operator", "name": "Jz", "two_j": two_j},
         }
         config = write_config(tmp_path, "run.json", payload)
-        assert cli.main(["simulate-spin", "--config", config]) == 0
-        assert cli.main(["reconstruct", "--config", config]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)["error"]
-        assert err["code"] == "config"
-        assert "'two_j'" in err["message"]
+        # the target is checked before any mode runs, also one that reads none
+        for mode in ("simulate-spin", "reconstruct"):
+            assert cli.main([mode, "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)["error"]
+            assert err["code"] == "config"
+            assert "'two_j'" in err["message"]
+        assert not (tmp_path / "records.jsonl").exists()
 
     @pytest.mark.parametrize(
         "target",
@@ -351,7 +360,37 @@ class TestModeFlags:
         modes = cli._MODES.values()
         read = {field for _, required, defaults in modes for field in (*required, *defaults)}
         assert read | {"mode"} == set(cli._FIELDS)
-        assert len(cli._FIELDS) == 9
+        assert len(cli._FIELDS) == 8
+
+    class Reads(dict):
+        """A dict that keeps the keys read from it."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+    TARGETS = {
+        "matrix-element": {"n": 1, "l": 0},
+        "photon-number": {},
+        "spin-matrix": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "two_lambda": 1},
+        "spin-operator": {"name": "Jx", "two_j": 1, "two_lambda": -1},
+    }
+
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_every_field_in_the_target_and_grid_tables_is_read(self, tmp_path, kind):
+        # kernel-export reads every field a target or grid table lists
+        assert set(self.TARGETS) == set(cli._TARGETS)
+        assert set(self.TARGETS[kind]) == set(cli._TARGETS[kind])
+        target = self.Reads(type=kind, **self.TARGETS[kind])
+        grid = self.Reads({"min": 0.0, "max": 1.0, "points": 2})
+        cfg = {"target": target, "grid": grid, "output_path": str(tmp_path / "kernel.csv")}
+        assert cli._MODES["kernel-export"][0](cfg) == 0
+        assert target.read == {"type", *cli._TARGETS[kind]}
+        assert grid.read == set(cli._GRID)
 
     @pytest.mark.parametrize(
         "argv",
@@ -646,6 +685,62 @@ class TestErrors:
         assert code == 2
         assert err == {"code": "config", "message": f"config field {field!r} is read by no mode"}
 
+    @pytest.mark.parametrize("mode", ["reconstruct", "kernel-export"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                {"target": {"type": "matrix-element", "n": 0, "l": 0, "cutoff": 3.0, "two_lamda": 1}},
+                "target field 'cutoff' is read by no mode",
+            ),
+            ({"target": {"type": "photon-number", "n": 4}}, "target field 'n' is read by no mode"),
+            (
+                {"grid": {"min": -1.0, "max": 1.0, "points": 3, "step": 0.1}},
+                "grid field 'step' is read by no mode",
+            ),
+            (
+                {"target": {"type": "matrix-element", "n": 0, "l": 0, "two_lambda": 1}},
+                "target field 'two_lambda' is read by no mode",
+            ),
+            (
+                {"target": {"type": "spin-operator", "name": "Jz", "two_j": 1, "two_lamda": 1}},
+                "target field 'two_lamda' is read by no mode",
+            ),
+            ({"target": {"n": 0, "l": 0}}, "config is missing required field 'type'"),
+            (
+                {"target": {"type": "spin-operator", "name": "Jw", "two_j": 1}},
+                "field 'name' must be 'Jx' or 'Jy' or 'Jz', got 'Jw'",
+            ),
+            ({"grid": {"min": -1.0, "max": 1.0, "points": 2.0}}, "field 'points' has wrong type float"),
+        ],
+        ids=[
+            "element-cutoff", "photon-number-n", "grid-step", "element-two_lambda",
+            "spin-two_lamda", "no-type", "spin-name", "grid-points",
+        ],
+    )
+    def test_target_and_grid_fields_are_checked_by_their_tables(
+        self, tmp_path, capsys, mode, extra, message
+    ):
+        code, err = self.run_config(tmp_path, capsys, mode, extra)
+        assert code == 2
+        assert err == {"code": "config", "message": message}
+
+    SPIN_UP = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+    @pytest.mark.parametrize(
+        "mode, target, field",
+        [
+            ("reconstruct", {"type": "matrix-element", "n": 0}, "l"),
+            ("reconstruct", {"type": "spin-operator", "name": "Jz"}, "two_j"),
+            ("kernel-export", {"type": "spin-matrix", "matrix": SPIN_UP}, "two_lambda"),
+        ],
+        ids=["element-l", "spin-two_j", "export-two_lambda"],
+    )
+    def test_a_missing_target_field_is_named(self, tmp_path, capsys, mode, target, field):
+        code, err = self.run_config(tmp_path, capsys, mode, {"target": target})
+        assert code == 2
+        assert err == {"code": "config", "message": f"config is missing required field {field!r}"}
+
     @pytest.mark.parametrize(
         "mode, extra, message",
         [
@@ -725,8 +820,6 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
         assert records.read_text() == f'{{"axis": [0.0, 0.0, 1.0], "two_m": {two_j}}}\n'
 
-    SPIN_UP = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-
     @pytest.mark.parametrize(
         "mode, state, message",
         [
@@ -764,10 +857,26 @@ class TestErrors:
             ("simulate-homodyne", "records_path", None, "missing required field 'records_path'"),
             ("simulate-spin", "records_path", None, "missing required field 'records_path'"),
             ("simulate-homodyne", "records_path", 3, "field 'records_path' has wrong type"),
-            ("simulate-homodyne", "convention", "Z", "field 'convention' must be 'Y' or 'X'"),
+            ("simulate-homodyne", "convention", "Z", "config field 'convention' is read by no mode"),
             ("simulate-spin", "seed", 1.5, "field 'seed' has wrong type"),
+            (
+                "simulate-homodyne",
+                "target",
+                {"type": "photon-number", "n": 4},
+                "target field 'n' is read by no mode",
+            ),
+            (
+                "simulate-spin",
+                "target",
+                {"type": "spin-operator", "name": "Jz", "two_j": 1.5},
+                "field 'two_j' has wrong type float",
+            ),
+            ("simulate-spin", "grid", {"min": 0.0, "max": 1.0, "step": 0.1}, "grid field 'step'"),
         ],
-        ids=["homodyne-records", "spin-records", "records-type", "convention", "seed-type"],
+        ids=[
+            "homodyne-records", "spin-records", "records-type", "convention", "seed-type",
+            "homodyne-target", "spin-target", "grid",
+        ],
     )
     def test_every_field_is_checked_before_sampling(
         self, tmp_path, capsys, monkeypatch, mode, field, value, message

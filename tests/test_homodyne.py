@@ -659,11 +659,9 @@ class TestRecordIO:
         assert np.array_equal(records, again)
 
     def test_x_convention_scales_outcome(self, tmp_path):
-        records = homodyne.homodyne_records([0.1], [1.6])
+        # the writer emits y lines only; an x line is read as y = sqrt(2) x
         path = tmp_path / "records_x.jsonl"
-        homodyne.write_homodyne_records(records, path, convention="X")
-        line = json.loads(path.read_text().strip())
-        assert line["x"] == pytest.approx(1.6 / SQRT2, rel=1e-15)
+        path.write_text(json.dumps({"phi": 0.1, "x": 1.6 / SQRT2}) + "\n")
         again = homodyne.read_homodyne_records(path)
         assert again["y"][0] == pytest.approx(1.6, rel=1e-15)
 
@@ -682,7 +680,13 @@ class TestRecordIO:
 
     @pytest.mark.parametrize(
         "line",
-        ['{"phi": 0.5, "y": Infinity}', '{"phi": NaN, "y": 0.5}', '{"y": 0.5}', "{"],
+        [
+            '{"phi": 0.5, "y": Infinity}',
+            '{"phi": NaN, "y": 0.5}',
+            '{"y": 0.5}',
+            "{",
+            '{"phi": 0.5, "y": 1.0, "x": 9.0}',
+        ],
     )
     def test_reader_names_bad_line(self, tmp_path, line):
         path = tmp_path / "records.jsonl"

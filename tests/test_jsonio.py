@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,8 +58,7 @@ def homodyne_reference(records, key="y") -> str:
     )
 
 
-# (reader, row, build) of each record kind; read_jsonl without a regex is
-# the general per-line reader alone
+# (reader, row, build) of each record kind
 KINDS = {
     "spin": (spin.read_spin_records, spin._row_from_json, spin._batch_from_rows),
     "homodyne": (homodyne.read_homodyne_records, homodyne._row_from_json, homodyne._batch_from_rows),
@@ -69,9 +69,14 @@ FIRST_LINE = {
 }
 
 
+# a regex that matches no line, so read_jsonl takes the general per-line
+# reader alone
+NO_LINE = re.compile(rb"(?!)")
+
+
 def general_read(kind, path):
     _, row, build = KINDS[kind]
-    return _jsonio.read_jsonl(path, row, build)
+    return _jsonio.read_jsonl(path, row, build, NO_LINE)
 
 
 def outcome(read, path):
@@ -111,14 +116,13 @@ class TestWriter:
         spin.write_spin_records(records, path)
         assert path.read_text() == spin_reference(records)
 
-    @pytest.mark.parametrize("key", ["y", "x"])
-    def test_homodyne_bytes_match_format_float(self, tmp_path, key):
+    def test_homodyne_bytes_match_format_float(self, tmp_path):
         rng = np.random.default_rng(6)
         size = 2 * 8192 + 17
         records = homodyne_batch(random_floats(rng, size), random_floats(rng, size))
         path = tmp_path / "records.jsonl"
-        homodyne.write_homodyne_records(records, path, convention=key.upper())
-        assert path.read_text() == homodyne_reference(records, key)
+        homodyne.write_homodyne_records(records, path)
+        assert path.read_text() == homodyne_reference(records)
 
     def test_every_edge_value_in_every_field(self, tmp_path):
         edges = np.array(EDGE_FLOATS)
@@ -170,14 +174,17 @@ class TestReaderParity:
         assert fast.tobytes() == records.tobytes()
 
     def test_x_convention_takes_the_general_reader(self, tmp_path, general_reads):
+        # the writer emits y lines only; x = y / sqrt(2) lines, written here
+        # by hand, read back through the general reader as y = sqrt(2) x
         rng = np.random.default_rng(12)
-        records = homodyne_batch(rng.uniform(0.0, 2.0 * math.pi, 300), random_floats(rng, 300))
+        size = 2 * 8192 + 17
+        records = homodyne_batch(rng.uniform(0.0, 2.0 * math.pi, size), random_floats(rng, size))
         path = tmp_path / "records.jsonl"
-        homodyne.write_homodyne_records(records, path, convention="X")
+        path.write_text(homodyne_reference(records, "x"))
         got = homodyne.read_homodyne_records(path)
         assert len(general_reads) == 1
-        want = [(phi, SQRT2 * x) for phi, x in zip(records["phi"].tolist(), (records["y"] / SQRT2).tolist())]
-        assert got.tolist() == want
+        assert np.array_equal(got["phi"], records["phi"])
+        assert np.array_equal(got["y"], SQRT2 * (records["y"] / SQRT2))
 
     def test_tokens_the_writer_never_emits(self, tmp_path, general_reads):
         # any digit count, leading zeros in exponents: still the fast path,
@@ -243,6 +250,7 @@ HOMODYNE_EDGES = {
     "boolean": '{"phi": true, "y": 0.5}',
     "string": '{"phi": 0.5, "y": "0.5"}',
     "mixed conventions": '{"phi": 0.5, "x": 0.25}',
+    "both outcomes": '{"phi": 0.5, "y": 1.0, "x": 9.0}',
 }
 SPIN_EDGES = {
     "fractional two_m": '{"axis": [0.0, 0.0, 1.0], "two_m": 1.0}',
@@ -303,6 +311,11 @@ class TestEdgeCorpus:
             ("homodyne", HOMODYNE_EDGES["boolean"], "2: phi must be a number, got True"),
             ("homodyne", HOMODYNE_EDGES["string"], "2: y must be a number, got '0.5'"),
             ("homodyne", CANONICAL_EDGES["phi out of range"][1], "2: phi must lie in [0, 2 pi)"),
+            (
+                "homodyne",
+                HOMODYNE_EDGES["both outcomes"],
+                "2: record line holds both outcome fields 'y' and 'x'",
+            ),
             ("spin", SPIN_EDGES["fractional two_m"], "2: two_m must be an integer"),
             ("spin", SPIN_EDGES["two_m 2**53 + 1"], "2: two_m must be an integer"),
             ("spin", SPIN_EDGES["booleans and a string in the axis"], "2: axis[0] must be a number, got True"),

@@ -176,6 +176,11 @@ class TestIntegrateOscillatory:
         with pytest.raises(ValueError, match="finite"):
             numerics.integrate_oscillatory(lambda t: np.ones_like(t), np.array([0.0, np.nan]), 1.0)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_a_cutoff_that_is_not_positive(self, cutoff):
+        with pytest.raises(ValueError, match="^cutoff must be positive$"):
+            numerics.integrate_oscillatory(lambda t: np.ones_like(t), 1.0, cutoff)
+
     def test_constant_zero_frequency(self):
         val = numerics.integrate_oscillatory(lambda t: np.ones_like(t), 0.0, 1.0)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
