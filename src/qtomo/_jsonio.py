@@ -103,10 +103,14 @@ def integer(value, name: str) -> int:
 
 
 def number(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number: an int or a float, not a bool."""
+    """``value`` as a float if it is a JSON number: an int or a float, not a
+    bool, and not an int too large for a float."""
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
 
 
 @functools.cache

@@ -5,6 +5,11 @@ uniforms consumed by that record come from a splitmix-style 64-bit mix of
 the counter ``i * k + j``, keyed by the seed.  Any sharding of the index
 range therefore reproduces the exact same stream, which is what makes the
 sampling contracts byte-reproducible across worker layouts.
+
+It is the package's one random source, so no module imports
+``numpy.random``: the homodyne and spin samplers draw their records from
+it, and ``qtomo validate`` its random inputs, each input from counters that
+no other input uses.
 """
 
 from __future__ import annotations

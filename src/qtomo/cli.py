@@ -102,20 +102,22 @@ def _tables(cfg: dict):
 def _require(obj: dict, key: str, rule=None):
     """``obj[key]``, a float under the rule float, if it keeps ``rule`` (as
     in the tables, or None for any value); else a ConfigError naming it."""
-    from ._jsonio import integer, number
+    from ._jsonio import number
 
     if key not in obj:
         raise ConfigError(f"config is missing required field {key!r}")
     value = obj[key]
     if isinstance(rule, tuple) and value not in rule:
         raise ConfigError(f"field {key!r} must be {' or '.join(map(repr, rule))}, got {value!r}")
-    if rule is int or rule is float:
-        try:
-            return (integer if rule is int else number)(value, key)
-        except ValueError:
-            raise ConfigError(f"field {key!r} has wrong type {type(value).__name__}") from None
-    if isinstance(rule, type) and not isinstance(value, rule):
+    # a JSON value has one exact type, and a bool is no int
+    kinds = (int, float) if rule is float else (rule,)
+    if isinstance(rule, type) and type(value) not in kinds:
         raise ConfigError(f"field {key!r} has wrong type {type(value).__name__}")
+    if rule is float:
+        try:
+            return number(value, f"field {key!r}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return value
 
 
@@ -229,13 +231,70 @@ def _run_kernel_export(cfg: dict) -> int:
     return 0
 
 
+def _validation_inputs(seed: int) -> dict:
+    """Every random input of the validation suite, drawn from the counter
+    stream of the samplers in a fixed order, each draw from counters no
+    earlier draw used, so the suite is a pure function of ``seed``:
+
+    - ``quadruples[two_j]``: the slots u1, u2, v1, v2, each of shape
+      ``(6, 2j+1)``, of a basis quadruple and five random unit quadruples,
+      for two_j 1 and 2;
+    - ``hermitian[two_j]`` and ``axes[two_j]``: a Hermitian matrix and five
+      unit axes, for two_j 1, 2 and 3;
+    - ``rho``: a random rank-7 density matrix at n_max 8;
+    - ``phases``: ten phases in [0, 2 pi).
+    """
+    import numpy as np
+
+    from ._rng import record_uniforms
+
+    used = 0
+
+    def uniforms(*shape):
+        nonlocal used
+        size = math.prod(shape)
+        u = record_uniforms(seed, used, size, 1).reshape(shape)
+        used += size
+        return u
+
+    def normals(*shape):
+        # Box-Muller; 1 - u lies in (0, 1], so the logarithm is finite
+        u = uniforms(2, *shape)
+        return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
+
+    def complex_normals(*shape):
+        return normals(*shape) + 1j * normals(*shape)
+
+    def unit(vecs):
+        return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+    quadruples = {}
+    for two_j in (1, 2):
+        dim = two_j + 1
+        basis = np.eye(dim, dtype=complex)[[0, 0, 0, 0]]
+        quads = np.concatenate([basis[None], unit(complex_normals(5, 4, dim))])
+        quadruples[two_j] = tuple(quads.swapaxes(0, 1))
+    hermitian, axes = {}, {}
+    for two_j in (1, 2, 3):
+        raw = complex_normals(two_j + 1, two_j + 1)
+        hermitian[two_j] = (raw + raw.conj().T) / 2.0
+        axes[two_j] = unit(normals(5, 3))
+    raw = complex_normals(7, 7)
+    rho = np.zeros((9, 9), dtype=complex)
+    rho[:7, :7] = raw @ raw.conj().T
+    rho /= np.trace(rho).real
+    phases = 2.0 * np.pi * uniforms(10)
+    return {"quadruples": quadruples, "hermitian": hermitian, "axes": axes, "rho": rho,
+            "phases": phases}
+
+
 def run_validation_suite(seed: int = 2024) -> dict:
     """Deterministic oracle suite tying the implementation to its closed forms."""
     import numpy as np
 
     from . import groups, homodyne, numerics, spin
 
-    rng = np.random.default_rng(seed)
+    inputs = _validation_inputs(seed)
     checks = []
 
     def add(name, value, reference, error, tolerance):
@@ -260,13 +319,7 @@ def run_validation_suite(seed: int = 2024) -> dict:
     )
 
     for two_j in (1, 2):
-        dim = two_j + 1
-        quads = [np.eye(dim, dtype=complex)[[0, 0, 0, 0]]]
-        for _ in range(5):
-            vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
-            quads.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
-        # one stack per slot: u1, u2, v1, v2 each of shape (6, dim)
-        u1, u2, v1, v2 = np.stack(quads, axis=1)
+        u1, u2, v1, v2 = inputs["quadruples"][two_j]
         residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
         degree = groups.QuorumSpec.su2(two_j).formal_degree
         rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
@@ -275,25 +328,18 @@ def run_validation_suite(seed: int = 2024) -> dict:
 
     worst = 0.0
     for two_j in (1, 2, 3):
-        dim = two_j + 1
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a_matrix = (raw + raw.conj().T) / 2.0
-        for _ in range(5):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
+        a_matrix = inputs["hermitian"][two_j]
+        for axis in inputs["axes"][two_j]:
             for two_lambda in range(-two_j, two_j + 1, 2):
                 closed = spin.kernel_spin_closed(a_matrix, axis, two_lambda)
                 numeric = spin.kernel_spin_numeric(a_matrix, axis, two_lambda)
                 worst = max(worst, abs(closed - numeric))
     add("spin_kernel_closed_vs_numeric", worst, 0.0, worst, 1e-9)
 
-    raw = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-    rho_matrix = np.zeros((9, 9), dtype=complex)
-    rho_matrix[:7, :7] = raw @ raw.conj().T
-    rho = homodyne.FockDensityMatrix(8, rho_matrix / np.trace(rho_matrix).real)
+    rho = homodyne.FockDensityMatrix(8, inputs["rho"])
     y_max = homodyne.default_y_max(rho.n_max)
     worst = 0.0
-    for phi in rng.uniform(0.0, 2.0 * np.pi, size=10):
+    for phi in inputs["phases"]:
         total = numerics.integrate_real(
             lambda y: homodyne.quadrature_density_grid(rho, float(phi), y), -y_max, y_max
         )

@@ -42,8 +42,9 @@ _MAX_PANELS = 2**17
 # an oscillatory integral starts at most this many panels, leaving room for
 # two doublings below _MAX_PANELS
 _MAX_INITIAL_PANELS = _MAX_PANELS // 4
-# entries per block of the (frequencies x panels) phase matrix
-_PHASE_BLOCK = 2**18
+# entries per block of the (frequencies x panels) phase matrix: 256 KiB of
+# complex values, or one row when a row is longer
+_PHASE_BLOCK = 2**14
 _CHEBYSHEV_START_DEGREE = 16
 _CHEBYSHEV_MAX_DEGREE = 2**13
 

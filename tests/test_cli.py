@@ -448,6 +448,29 @@ class TestValidate:
         assert cli.run_validation_suite()["passed"] is True
         assert calls == [(1, 512), (1, 1152), (2, 512), (2, 1152)]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_suite_passes_at_every_seed(self, seed):
+        report = cli.run_validation_suite(seed)
+        assert report["passed"] is True
+        assert len(report["checks"]) == 6
+
+    def test_equal_seeds_give_identical_reports(self):
+        first = cli.run_validation_suite(7)
+        cli.run_validation_suite(8)
+        assert cli.run_validation_suite(7) == first
+
+    def test_drawn_inputs_have_the_promised_form(self):
+        inputs = cli._validation_inputs(2024)
+        axes = np.concatenate([inputs["axes"][two_j] for two_j in (1, 2, 3)])
+        assert np.allclose(np.linalg.norm(axes, axis=1), 1.0)
+        assert len({tuple(axis) for axis in axes}) == len(axes)
+        assert np.all(inputs["hermitian"][3] == inputs["hermitian"][3].conj().T)
+        assert np.linalg.matrix_rank(inputs["rho"]) == 7
+        assert np.trace(inputs["rho"]).real == pytest.approx(1.0, abs=1e-15)
+        assert np.all((inputs["phases"] >= 0.0) & (inputs["phases"] < 2.0 * np.pi))
+        other = cli._validation_inputs(2025)
+        assert not np.any(other["phases"] == inputs["phases"])
+
     @pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "string"])
     def test_rejects_non_integer_seed(self, tmp_path, capsys, seed):
         config = write_config(tmp_path, "validate.json", {"seed": seed})
@@ -712,10 +735,14 @@ class TestErrors:
                 "field 'name' must be 'Jx' or 'Jy' or 'Jz', got 'Jw'",
             ),
             ({"grid": {"min": -1.0, "max": 1.0, "points": 2.0}}, "field 'points' has wrong type float"),
+            (
+                {"grid": {"min": -(10**400), "max": 1.0, "points": 3}},
+                "field 'min' must be finite, got an integer too large for a float",
+            ),
         ],
         ids=[
             "element-cutoff", "photon-number-n", "grid-step", "element-two_lambda",
-            "spin-two_lamda", "no-type", "spin-name", "grid-points",
+            "spin-two_lamda", "no-type", "spin-name", "grid-points", "grid-min-too-large",
         ],
     )
     def test_target_and_grid_fields_are_checked_by_their_tables(
@@ -831,7 +858,11 @@ class TestErrors:
             ("simulate-spin", {"two_j": True, "rho": SPIN_UP}, "'two_j'"),
             ("simulate-spin", {"two_j": "1", "rho": SPIN_UP}, "'two_j'"),
             ("simulate-spin", {"two_j": 1, "rho": [[[True, 0], [0, 0]], SPIN_UP[1]]}, "rho[0][0]"),
-            ("simulate-spin", {"two_j": 1, "rho": [[[10**400, 0], [0, 0]], SPIN_UP[1]]}, "too large"),
+            (
+                "simulate-spin",
+                {"two_j": 1, "rho": [[[10**400, 0], [0, 0]], SPIN_UP[1]]},
+                "rho[0][0] must be finite, got an integer too large for a float",
+            ),
             ("simulate-spin", {"two_j": 1, "rho": [[[math.nan, 0], [0, 0]], SPIN_UP[1]]}, "= nan"),
         ],
         ids=["fractional-size", "bool-size", "string-size", "bool-entry", "huge-entry", "nan-entry"],
@@ -1036,6 +1067,7 @@ class TestImports:
                 "target": {"type": "matrix-element", "n": 1, "l": 1},
                 "grid": {"min": -1.0, "max": 1.0, "points": 3},
             },
+            "validate": common,
         }
         paths = {name: write_config(tmp_path, f"{name}.json", cfg) for name, cfg in configs.items()}
         assert cli.main(["simulate-spin", "--config", paths["simulate-spin"]]) == 0
@@ -1055,6 +1087,24 @@ class TestImports:
         code, modules = modules_after_main(tmp_path, [mode, "--config", configs[config]])
         assert code == 0
         assert not modules & absent
+
+    @pytest.mark.parametrize(
+        "mode, config",
+        [
+            ("simulate-homodyne", "simulate-homodyne"),
+            ("simulate-spin", "simulate-spin"),
+            ("reconstruct", "reconstruct-spin"),
+            ("kernel-export", "kernel-export-homodyne"),
+            ("validate", "validate"),
+        ],
+        ids=["simulate-homodyne", "simulate-spin", "reconstruct", "kernel-export", "validate"],
+    )
+    def test_no_mode_loads_numpy_random(self, tmp_path, configs, mode, config):
+        if run_python(tmp_path, "import numpy, sys; print('numpy.random' in sys.modules)") == "True\n":
+            pytest.skip("a bare numpy import loads numpy.random here")
+        code, modules = modules_after_main(tmp_path, [mode, "--config", configs[config]])
+        assert code == 0
+        assert "numpy.random" not in modules
 
     def test_matrix_element_reconstruct_loads_no_masked_arrays(self, tmp_path, vacuum_state_path):
         if run_python(tmp_path, "import numpy, sys; print('numpy.ma' in sys.modules)") == "True\n":

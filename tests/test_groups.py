@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtomo import groups, numerics
+from qtomo import cli, groups, numerics
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,15 +222,10 @@ class TestOrthogonality:
 
 
 def validate_quadruples(two_j, seed=2024):
-    """The six quadruples ``qtomo validate`` checks for ``two_j``: a basis
-    quadruple, then five random unit quadruples; each slot of shape (6, dim)."""
-    rng = np.random.default_rng(seed)
-    dim = two_j + 1
-    quads = [np.eye(dim, dtype=complex)[[0, 0, 0, 0]]]
-    for _ in range(5):
-        vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
-        quads.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
-    return np.stack(quads, axis=1)
+    """The six quadruples ``qtomo validate`` checks for ``two_j``, from the
+    suite's own draw: a basis quadruple, then five random unit quadruples;
+    each slot of shape (6, dim)."""
+    return cli._validation_inputs(seed)["quadruples"][two_j]
 
 
 class TestStackedOrthogonality:

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -583,6 +584,18 @@ class TestKernelTable:
         kernel = homodyne.MatrixElementKernel(0, 0)
         kernel.evaluate(homodyne.homodyne_records([1.0], [kernel._y_max + 1.0]))
         assert kernel._table is None
+
+    def test_traced_peak_of_a_20_10_build_stays_small(self):
+        # phase blocks of 2**18 entries peaked at 8.45 MiB; 2**14 entries at 1.44 MiB
+        kernel = homodyne.MatrixElementKernel(20, 10)
+        tracemalloc.start()
+        try:
+            kernel.evaluate(homodyne.homodyne_records([0.0], [0.5]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel._table is not None
+        assert peak <= 2 * 2**20
 
     def test_huge_outcome_fails_fast(self):
         kernel = homodyne.MatrixElementKernel(0, 0)

@@ -303,7 +303,11 @@ class TestEdgeCorpus:
     @pytest.mark.parametrize(
         "kind, line, expected",
         [
-            ("homodyne", HOMODYNE_EDGES["400-digit integer"], "2: int too large to convert to float"),
+            (
+                "homodyne",
+                HOMODYNE_EDGES["400-digit integer"],
+                "2: y must be finite, got an integer too large for a float",
+            ),
             ("homodyne", HOMODYNE_EDGES["overflow to inf"], "2: y must be finite, got inf"),
             ("homodyne", HOMODYNE_EDGES["NaN"], "2: y must be finite, got nan"),
             ("homodyne", HOMODYNE_EDGES["leading zero"], "2: Expecting ',' delimiter"),
