@@ -3,6 +3,10 @@ writing and reading and the state file format shared by both quorums.
 
 Every float written by the package round-trips bit-faithfully through its
 text form, so record and result files are stable artifacts.
+
+The record codec formats and parses a large file in contiguous shards, one
+per core this process may run on, each but the first in a forked child; the
+bytes written and the values read do not depend on the shard count.
 """
 
 from __future__ import annotations
@@ -10,10 +14,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
+import stat
+import warnings
 from array import array
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +31,20 @@ __all__ = [
     "save_state", "load_state",
 ]
 
-# Lines per formatted chunk of a write and per block of a canonical read:
-# small enough that the tokens of a block leave no mark on the peak RSS of
-# a 100k-record run (8192 raised it by ~4 MB), large enough that the cost
-# per block does not show.
+# Lines per formatted chunk of a write, and bytes per block of a canonical
+# read (~190 spin or ~360 homodyne lines): small enough that the strings of
+# a block leave no mark on the peak RSS of a run (8192 lines raised it by
+# ~4 MB at 100k records, 32 KiB blocks by ~0.2 MB at 10k), large enough
+# that the cost per block does not show.
 _BLOCK_LINES = 256
+_BLOCK_BYTES = 2**14
+
+# Rows per shard at the least, so that a child's text work dwarfs its cost:
+# a fork and its join took 1.6-3.6 ms on a 2-core Xeon with numpy loaded,
+# against ~2-3 us to format or to parse one line, so a shard of 2**14 lines
+# (30-50 ms of text) spends under a tenth of its time on its child. A file
+# of fewer than 2 * 2**14 lines, such as a 10k-record run, stays one shard.
+_MIN_SHARD_ROWS = 2**14
 
 # What a line template's placeholders read back as: the float text that
 # format_float writes (a fraction or a signed exponent, so a JSON integer,
@@ -129,17 +145,44 @@ def write_jsonl(path, template: str, columns) -> None:
     Each ``%.17g`` placeholder takes the next float column and each ``%d`` the
     next integer column; every float reads as :func:`format_float` writes it.
     A non-finite float raises format_float's ValueError after the rows before
-    it are written.
+    it are written.  The rows before it are cut into contiguous shards: the
+    parent formats the first straight into ``path``, a child each other one
+    into an unlinked file beside it, which the parent then appends in order;
+    the parent formats the shard of a child that failed itself.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(columns[0]), _BLOCK_LINES):
-            chunk = [column[start : start + _BLOCK_LINES] for column in columns]
+    float_columns = [column for column in columns if column.dtype.kind == "f"]
+    finite = np.logical_and.reduce([np.isfinite(column) for column in float_columns])
+    stop = len(finite) if finite.all() else int(np.argmin(finite))
+    shards = _shard_count(stop)
+    bounds = [stop * i // shards for i in range(shards + 1)]
+
+    def write(fh, shard):
+        end = bounds[shard + 1]
+        for start in range(bounds[shard], end, _BLOCK_LINES):
+            chunk = [column[start : min(start + _BLOCK_LINES, end)] for column in columns]
             floats = np.column_stack([column for column in chunk if column.dtype.kind == "f"])
-            bad = np.flatnonzero(~np.isfinite(floats).all(axis=1))
-            stop = bad[0] if bad.size else len(floats)
-            fh.write(_format_lines(template, [column[:stop] for column in chunk], floats[:stop]))
-            for x in floats[stop:stop + 1].flat:
-                format_float(x)
+            fh.write(_format_lines(template, chunk, floats))
+
+    def child(shard, fd):
+        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+            write(fh, shard)
+
+    with open(path, "w", encoding="utf-8") as fh, _Children() as children:
+        files = {}
+        for shard in range(1, shards):
+            fd = _unlinked_file(path, shard)
+            if fd is not None:
+                files[shard] = children.close_on_exit(fd)
+                children.fork(shard, functools.partial(child, shard, fd))
+        write(fh, 0)
+        for shard in range(1, shards):
+            if children.join(shard) == 0:
+                _append(fh, files[shard])
+            else:
+                write(fh, shard)
+    if stop < len(finite):
+        for column in float_columns:
+            format_float(column[stop])
 
 
 def _format_lines(template: str, columns, floats: np.ndarray) -> str:
@@ -159,13 +202,99 @@ def _format_lines(template: str, columns, floats: np.ndarray) -> str:
     return "".join(lines) % tuple(args)
 
 
+def _cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shard_count(rows: int) -> int:
+    return max(1, min(_cores(), rows // _MIN_SHARD_ROWS))
+
+
+class _Children:
+    """The forked children of one sharded read or write, by shard, and the
+    descriptors that carry their output.  On leaving the ``with`` block, by
+    return, error or interrupt, every child not yet joined is killed and
+    reaped, and then the descriptors are closed."""
+
+    def __init__(self):
+        self._pids = {}
+        self._fds = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for pid in self._pids.values():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        self._pids.clear()
+        for fd in self._fds:
+            os.close(fd)
+
+    def close_on_exit(self, fd: int) -> int:
+        self._fds.append(fd)
+        return fd
+
+    def fork(self, shard: int, work) -> None:
+        """Run ``work()``, text work only, in a child that leaves by
+        ``os._exit`` with the code ``work`` returns, 0 for None and 1 if it
+        raises; if the fork fails the shard has no child."""
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns of fork in a process with threads, here
+                # those of the BLAS pool; the child runs no BLAS and no thread
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            return
+        if pid == 0:
+            code = 1
+            try:
+                code = work() or 0
+            finally:
+                os._exit(code)
+        self._pids[shard] = pid
+
+    def join(self, shard: int) -> int:
+        """The exit code of the shard's child, 1 if it has none."""
+        if shard not in self._pids:
+            return 1
+        _, status = os.waitpid(self._pids[shard], 0)
+        del self._pids[shard]
+        return os.waitstatus_to_exitcode(status)
+
+
+def _unlinked_file(path, shard: int) -> int | None:
+    """A read-write descriptor of a new file in ``path``'s directory, whose
+    name is gone once it is open; None if it cannot be made."""
+    name = f"{os.fspath(path)}.{os.getpid()}.{shard}.tmp"
+    try:
+        fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError:
+        return None
+    os.unlink(name)
+    return fd
+
+
+def _append(fh, fd: int) -> None:
+    """Append every byte of the file ``fd`` to the text file ``fh``."""
+    fh.flush()
+    os.lseek(fd, 0, os.SEEK_SET)
+    while chunk := os.read(fd, _BLOCK_BYTES):
+        fh.buffer.write(chunk)
+
+
 def read_jsonl(path, row, build, regex):
     """``build`` of the flat float array of ``row(obj)`` over the nonblank lines.
 
-    ``row`` turns one JSON object into a tuple of numbers.  If ``regex`` (of
-    :func:`line_regex`) matches every line of the file, each line ends in a
-    newline and every value is finite, the flat float array of its groups is
-    what ``row`` gives, and json is not called.  Any other file takes the
+    ``row`` turns one JSON object into a tuple of numbers.  If ``path`` is a
+    regular file, ``regex`` (of :func:`line_regex`) matches every line of it,
+    each line ends in a newline and every value is finite, the flat float
+    array of its groups is what ``row`` gives, and json is not called.  The
+    shard count does not change this array.  Any other file takes the
     general per-line reader, the only source of parse errors: a bad line, or
     a record that ``build`` rejects, raises RecordError at ``path:line``.
     """
@@ -179,19 +308,90 @@ def read_jsonl(path, row, build, regex):
 def _read_canonical(path, regex) -> np.ndarray | None:
     """The flat float array of ``regex``'s groups over every line, or None
     if a line does not match (a blank line, CRLF, another key order or
-    spacing), the file has no final newline or a value is not finite."""
+    spacing), the file has no final newline or a value is not finite.
+
+    The file is cut into byte ranges that end at a newline: the parent
+    parses the first, a child each other one, whose values come back through
+    a pipe and are appended in order; the parent parses the range of a child
+    that failed itself.  A file that is not a regular file, such as a pipe,
+    cannot be read at an offset and gives None unread.
+    """
     values = array("d")
-    with open(path, "rb") as fh:
-        while block := b"".join(islice(fh, _BLOCK_LINES)):
-            rows = regex.findall(block)
-            # ``$`` also matches at the end of a block with no final
-            # newline, so a count check alone could pass one bad line there
-            if not block.endswith(b"\n") or len(rows) != block.count(b"\n"):
-                return None
-            # float() of the token text, the call json makes for a fraction
-            values.extend(map(float, chain.from_iterable(rows)))
+    with open(path, "rb") as fh, _Children() as children:
+        fd = fh.fileno()
+        status = os.fstat(fd)
+        if not stat.S_ISREG(status.st_mode):
+            return None
+        bounds = _line_bounds(fh, status.st_size)
+        pipes = {}
+
+        def parse(shard, into) -> bool:
+            return _parse_range(fd, regex, bounds[shard], bounds[shard + 1], into)
+
+        def child(shard, out):
+            own = array("d")
+            # a range that is not canonical fails the child, and the
+            # parent's own parse of it then gives None
+            if not parse(shard, own):
+                return 1
+            with open(out, "wb") as sink:
+                sink.write(own)
+
+        for shard in range(1, len(bounds) - 1):
+            pipe, out = os.pipe()
+            pipes[shard] = children.close_on_exit(pipe)
+            children.fork(shard, functools.partial(child, shard, out))
+            os.close(out)
+        if not parse(0, values):
+            return None
+        for shard in range(1, len(bounds) - 1):
+            mark = len(values)
+            with open(pipes[shard], "rb", closefd=False) as source:
+                # whole blocks until the last, short only if the child failed
+                while chunk := source.read(_BLOCK_BYTES):
+                    values.frombytes(chunk[: len(chunk) - len(chunk) % values.itemsize])
+            if children.join(shard) != 0:
+                del values[mark:]
+                if not parse(shard, values):
+                    return None
     values = np.frombuffer(values, dtype=float)
     return values if np.isfinite(values).all() else None
+
+
+def _line_bounds(fh, size: int) -> list[int]:
+    """Offsets that cut the ``size`` bytes of ``fh`` into shards ending at a
+    newline, as many as :func:`_shard_count` gives for the line count
+    estimated from the first line's length."""
+    shards = _shard_count(size // max(1, len(fh.readline())))
+    bounds = [0]
+    for shard in range(1, shards):
+        fh.seek(max(size * shard // shards, bounds[-1]))
+        fh.readline()
+        bounds.append(fh.tell())
+    return bounds + [size]
+
+
+def _parse_range(fd, regex, start: int, stop: int, values) -> bool:
+    """Extend ``values`` by ``regex``'s groups over the lines of the bytes
+    ``start:stop`` of ``fd``, read in blocks cut after their last newline;
+    False if a line does not match or the range does not end in a newline."""
+    rest = b""
+    while start < stop:
+        data = os.pread(fd, min(_BLOCK_BYTES, stop - start), start)
+        if not data:
+            return False
+        start += len(data)
+        block = rest + data
+        cut = block.rfind(b"\n") + 1
+        block, rest = block[:cut], block[cut:]
+        rows = regex.findall(block)
+        # every line of a block ends in a newline, so each holds one match
+        # if and only if it is canonical
+        if len(rows) != block.count(b"\n"):
+            return False
+        # float() of the token text, the call json makes for a fraction
+        values.extend(map(float, chain.from_iterable(rows)))
+    return not rest
 
 
 def _read_lines(path, row) -> np.ndarray:
@@ -254,6 +454,11 @@ def save_state(path, key: str, size: int, matrix: np.ndarray) -> None:
 
 def load_state(path, key: str) -> tuple[int, np.ndarray]:
     """``(size, matrix)`` of a state file written by :func:`save_state`; a
-    ValueError names a size that is not a JSON integer or a bad ``rho`` entry."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    ValueError names the file if it is not JSON Python reads (an integer
+    past Python's digit limit is not), a size that is not a JSON integer or
+    a bad ``rho`` entry."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"state file {path} cannot be read as JSON: {exc}") from exc
     return integer(obj[key], f"state field {key!r}"), complex_matrix(obj["rho"], "rho")

@@ -69,8 +69,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
         cfg = {} if args.config is None else json.loads(Path(args.config).read_text("utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {exc.filename}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+        raise ConfigError(f"config file {args.config} cannot be read as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for key, (_, flag) in _FIELDS.items():

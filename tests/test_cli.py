@@ -883,6 +883,48 @@ class TestErrors:
         assert not records.exists()
 
     @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                '{"target": {"type": "matrix-element", "n": 1, "l": 1}, "grid": {"min": -'
+                + "1" * 5001 + ', "max": 3, "points": 7}, "output_path": "kernel.csv"}',
+                "Exceeds the limit (4300 digits) for integer string conversion",
+            ),
+            ('{"output_path": "kernel.csv",', "Expecting property name"),
+        ],
+        ids=["past-the-digit-limit", "not-json"],
+    )
+    def test_an_unreadable_config_names_its_file(self, tmp_path, capsys, text, reason):
+        if "4300" in reason and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer digits")
+        config = tmp_path / "kernel.json"
+        config.write_text(text, encoding="utf-8")
+        assert cli.main(["kernel-export", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config"
+        assert err["message"].startswith(f"config file {config} cannot be read as JSON: {reason}")
+        assert not (tmp_path / "kernel.csv").exists()
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no limit on integer digits"
+    )
+    def test_a_state_integer_past_the_digit_limit_names_the_state_file(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text('{"two_j": 1, "rho": [[[' + "1" * 5001 + ", 0], [0, 0]], [[0, 0], [0, 0]]]}")
+        records = tmp_path / "records.jsonl"
+        config = write_config(
+            tmp_path, "sim.json",
+            {"seed": 1, "count": 5, "state_path": str(state), "records_path": str(records)},
+        )
+        assert cli.main(["simulate-spin", "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config"
+        assert err["message"].startswith(
+            f"ValueError: state file {state} cannot be read as JSON: Exceeds the limit (4300 digits)"
+        )
+        assert not records.exists()
+
+    @pytest.mark.parametrize(
         "mode, field, value, message",
         [
             ("simulate-homodyne", "records_path", None, "missing required field 'records_path'"),
@@ -1144,6 +1186,53 @@ class TestImports:
             "    print('ok')\n"
         )
         assert run_python(tmp_path, script) == "ok\n"
+
+
+
+class TestShardedCodec:
+    """The record codec forks children to format and parse shards; its
+    records and results match a one-shard run byte for byte, also when the
+    parent holds a BLAS thread pool."""
+
+    SCRIPT = (
+        "import json, os, sys\n"
+        "from qtomo import _jsonio, cli\n"
+        "_jsonio._cores = lambda: int(sys.argv[1])\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    pid = fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted\n"
+        "for mode in ('simulate-spin', 'reconstruct'):\n"
+        "    assert cli.main([mode, '--config', sys.argv[2]]) == 0\n"
+        "print(len(forks))\n"
+    )
+
+    def test_two_shards_under_a_threaded_blas(self, tmp_path, monkeypatch):
+        state = tmp_path / "state.json"
+        rng = np.random.default_rng(31)
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        psi /= np.linalg.norm(psi)
+        spin.save_spin_state(spin.SpinDensityMatrix(2, np.outer(psi, psi.conj())), state)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        outputs = {}
+        for cores in (1, 2):
+            run = tmp_path / f"cores_{cores}"
+            run.mkdir()
+            config = write_config(run, "run.json", {
+                "seed": 4,
+                "count": 40_000,
+                "state_path": str(state),
+                "records_path": str(run / "records.jsonl"),
+                "output_path": str(run / "result.json"),
+                "target": {"type": "spin-operator", "name": "Jx", "two_j": 2},
+            })
+            forks = run_python(run, self.SCRIPT, str(cores), config).splitlines()[-1]
+            # one writer child and one reader child at two shards
+            assert forks == str(2 * (cores - 1))
+            outputs[cores] = [(run / name).read_bytes() for name in ("records.jsonl", "result.json")]
+        assert outputs[1] == outputs[2]
 
 
 class TestJsonSerializer:

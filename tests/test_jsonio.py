@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -408,6 +409,19 @@ class TestEdgeCorpus:
         assert len(general_reads) == 1
         assert outcome(read, path) == outcome(lambda p: general_read(kind, p), path)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_takes_the_general_reader(self, general_reads):
+        records = homodyne_batch([0.5, 1.5], [0.25, -0.0])
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as out:
+            out.write(homodyne_reference(records))
+        try:
+            got = homodyne.read_homodyne_records(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert got.tobytes() == records.tobytes()
+        assert len(general_reads) == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_bytes(b"")
@@ -462,3 +476,166 @@ class TestLineRegex:
         regex = _jsonio.line_regex("[%d]\n")
         accepts = regex.findall(f"[{token}]\n".encode("ascii")) != []
         assert accepts == (token == "2")
+
+
+# rows of a batch that the codec cuts into three shards at three cores
+SHARDED_ROWS = 3 * _jsonio._MIN_SHARD_ROWS + 1000
+
+
+def sharded_batch(kind, seed=23):
+    """A batch of SHARDED_ROWS records with -0.0 and integral values (the
+    rows that take the ``%.1f`` marker) in every shard."""
+    rng = np.random.default_rng(seed)
+    marked = np.linspace(1, SHARDED_ROWS - 1, 40).astype(int)
+    if kind == "spin":
+        axes = rng.standard_normal((SHARDED_ROWS, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes[marked] = np.resize([[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0], [0.0, 1.0, 0.0]], (40, 3))
+        return spin_batch(axes, rng.integers(-2, 3, SHARDED_ROWS))
+    phi = rng.uniform(0.0, 2.0 * math.pi, SHARDED_ROWS)
+    y = random_floats(rng, SHARDED_ROWS)
+    phi[marked], y[marked] = np.resize([0.0, 1.0, 3.0], 40), np.resize([-0.0, 2.0, -7.0, 1e16], 40)
+    return homodyne_batch(phi, y)
+
+
+WRITERS = {"spin": spin.write_spin_records, "homodyne": homodyne.write_homodyne_records}
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count the codec sees, and lists the children it forks."""
+    forks = []
+    fork = _jsonio._Children.fork
+
+    def counted(self, shard, work):
+        forks.append(shard)
+        return fork(self, shard, work)
+
+    monkeypatch.setattr(_jsonio._Children, "fork", counted)
+
+    def set_cores(count):
+        monkeypatch.setattr(_jsonio, "_cores", lambda: count)
+        forks.clear()
+        return forks
+
+    return set_cores
+
+
+def assert_clean(directory, names):
+    """Every child was reaped and no file but ``names`` is left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+class TestShards:
+    @pytest.mark.parametrize("kind", ["spin", "homodyne"])
+    def test_bytes_and_values_do_not_depend_on_the_shard_count(self, tmp_path, cores, kind):
+        records = sharded_batch(kind)
+        read = KINDS[kind][0]
+        files = {}
+        for count in (1, 2, 3):
+            files[count] = tmp_path / f"records_{count}.jsonl"
+            forks = cores(count)
+            WRITERS[kind](records, files[count])
+            assert forks == list(range(1, count))
+        assert files[1].read_bytes() == files[2].read_bytes() == files[3].read_bytes()
+        assert files[1].read_text() == (spin_reference if kind == "spin" else homodyne_reference)(records)
+        for count in (1, 2, 3):
+            forks = cores(count)
+            assert read(files[1]).tobytes() == records.tobytes()
+            assert forks == list(range(1, count))
+        assert_clean(tmp_path, [f.name for f in files.values()])
+
+    def test_a_non_canonical_line_in_the_last_shard_is_named(self, tmp_path, cores, general_reads):
+        path = tmp_path / "records.jsonl"
+        cores(3)
+        spin.write_spin_records(sharded_batch("spin"), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-5] = '{"axis": [0.0, 0.0, 1.0], "two_m": 2.0}\n'
+        path.write_text("".join(lines))
+        errors = []
+        for count in (1, 3):
+            cores(count)
+            with pytest.raises(RecordError) as info:
+                spin.read_spin_records(path)
+            errors.append(str(info.value))
+            assert_clean(tmp_path, [path.name])
+        assert errors[0] == errors[1] == f"{path}:{len(lines) - 4}: two_m must be an integer, got 2.0"
+        assert len(general_reads) == 2
+
+    def test_a_non_finite_axis_in_the_last_shard(self, tmp_path, cores):
+        records = sharded_batch("spin")
+        bad = SHARDED_ROWS - 500
+        records["axis"][bad, 1] = math.nan
+        written = {}
+        for count in (1, 3):
+            path = tmp_path / f"records_{count}.jsonl"
+            forks = cores(count)
+            with pytest.raises(ValueError, match=r"^cannot serialize non-finite float nan$"):
+                spin.write_spin_records(records, path)
+            assert forks == list(range(1, count))
+            written[count] = path.read_text()
+            assert_clean(tmp_path, [f"records_{c}.jsonl" for c in written])
+        assert written[1] == written[3] == spin_reference(records[:bad])
+
+    @pytest.mark.parametrize("kind", ["spin", "homodyne"])
+    def test_a_failed_child_is_redone_by_the_parent(self, tmp_path, cores, monkeypatch, kind):
+        records = sharded_batch(kind)
+        path = tmp_path / "records.jsonl"
+        cores(1)
+        WRITERS[kind](records, path)
+        expected = path.read_bytes()
+        forks = cores(3)
+        fork = _jsonio._Children.fork
+        # the second child exits 1 before any work
+        monkeypatch.setattr(
+            _jsonio._Children, "fork",
+            lambda self, shard, work: fork(self, shard, (lambda: 1) if shard == 2 else work),
+        )
+        WRITERS[kind](records, path)
+        assert path.read_bytes() == expected
+        assert_clean(tmp_path, [path.name])
+        assert KINDS[kind][0](path).tobytes() == records.tobytes()
+        assert_clean(tmp_path, [path.name])
+        assert forks == [1, 2, 1, 2]
+
+    def test_a_failed_fork_leaves_the_shard_to_the_parent(self, tmp_path, cores, monkeypatch):
+        records = sharded_batch("homodyne")
+        path = tmp_path / "records.jsonl"
+        cores(3)
+
+        def refuse():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        homodyne.write_homodyne_records(records, path)
+        assert path.read_text() == homodyne_reference(records)
+        assert homodyne.read_homodyne_records(path).tobytes() == records.tobytes()
+        assert_clean(tmp_path, [path.name])
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, tmp_path, cores, monkeypatch):
+        records = sharded_batch("spin")
+        path = tmp_path / "records.jsonl"
+        cores(3)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_jsonio, "_append", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                spin.write_spin_records(records, path)
+        assert_clean(tmp_path, [path.name])
+        spin.write_spin_records(records, path)
+        monkeypatch.setattr(_jsonio, "_parse_range", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            spin.read_spin_records(path)
+        assert_clean(tmp_path, [path.name])
+
+    def test_a_line_longer_than_a_block(self, tmp_path, general_reads):
+        path = tmp_path / "records.jsonl"
+        long_line = '{"phi": 0.5, "y": 0.' + "3" * (2 * _jsonio._BLOCK_BYTES) + "}"
+        write_lines(path, FIRST_LINE["homodyne"], long_line)
+        assert homodyne.read_homodyne_records(path)["y"].tolist() == [0.25, 1.0 / 3.0]
+        assert general_reads == []
