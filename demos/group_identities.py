@@ -61,19 +61,9 @@ print(f"  quadrature {coeff:.9f}   expected 8 pi^2 = {8.0 * math.pi ** 2:.9f}")
 print("\northogonality relation residuals (random quadruples):")
 for two_j in (1, 2):
     dim = two_j + 1
-    degree = groups.QuorumSpec.su2(two_j).formal_degree
+    degree = groups.su2_formal_degree(two_j)
     vecs = rng.normal(size=(4, 5, dim)) + 1j * rng.normal(size=(4, 5, dim))
     u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
     residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
     rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
     print(f"  two_j = {two_j}: worst relative residual {np.max(residual / (1.0 + rhs)):.2e}")
-
-# ----------------------------------------------------------------------
-# 5. Radial measures of the two quorum constructions.
-# ----------------------------------------------------------------------
-wh = groups.QuorumSpec.weyl_heisenberg()
-su2 = groups.QuorumSpec.su2(1)
-print("\nradial weights:")
-print(f"  Weyl-Heisenberg at t = 3.7: {groups.radial_weight(wh, 3.7):.4f} (flat chart, weight t)")
-print(f"  SU(2) at t = pi:            {groups.radial_weight(su2, math.pi):.4f} (4 sin^2(t/2))")
-print(f"  SU(2) at t = 6.5:           {groups.radial_weight(su2, 6.5):.4f} (outside the chart)")

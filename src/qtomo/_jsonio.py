@@ -287,7 +287,7 @@ def _append(fh, fd: int) -> None:
         fh.buffer.write(chunk)
 
 
-def read_jsonl(path, row, build, regex):
+def read_jsonl(path, row, build, regex, lines: list | None = None):
     """``build`` of the flat float array of ``row(obj)`` over the nonblank lines.
 
     ``row`` turns one JSON object into a tuple of numbers.  If ``path`` is a
@@ -297,11 +297,17 @@ def read_jsonl(path, row, build, regex):
     shard count does not change this array.  Any other file takes the
     general per-line reader, the only source of parse errors: a bad line, or
     a record that ``build`` rejects, raises RecordError at ``path:line``.
+    The file is read once, so ``path`` may be a pipe.  A list ``lines``
+    receives the records' line numbers, as :func:`rows_at_lines` takes them.
     """
     values = _read_canonical(path, regex)
+    # a canonical file has no blank line: record r is on line r + 1
+    numbers = None
     if values is None:
-        values = _read_lines(path, row)
-    with rows_at_lines(path):
+        values, numbers = _read_lines(path, row)
+    if lines is not None:
+        lines.append(numbers)
+    with rows_at_lines(path, numbers):
         return build(values)
 
 
@@ -394,8 +400,10 @@ def _parse_range(fd, regex, start: int, stop: int, values) -> bool:
     return not rest
 
 
-def _read_lines(path, row) -> np.ndarray:
-    values = array("d")
+def _read_lines(path, row) -> tuple[np.ndarray, np.ndarray]:
+    """The flat float array of ``row`` over the nonblank lines, by json, and
+    the line number of each."""
+    values, numbers = array("d"), array("q")
     with _text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -409,7 +417,8 @@ def _read_lines(path, row) -> np.ndarray:
                 raise RecordError(f"{path}:{lineno}", f"missing field {exc}") from exc
             except (OverflowError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}", str(exc)) from exc
-    return np.frombuffer(values, dtype=float)
+            numbers.append(lineno)
+    return np.frombuffer(values, dtype=float), np.frombuffer(numbers, dtype=np.int64)
 
 
 def _text(path):
@@ -418,18 +427,17 @@ def _text(path):
 
 
 @contextmanager
-def rows_at_lines(path):
+def rows_at_lines(path, lines):
     """Re-raise a RecordError that names a batch row as one naming
-    ``path:line``, the line of that record among the nonblank lines of
-    ``path``, the file the batch was read from."""
+    ``path:line``: line ``lines[row]`` as :func:`read_jsonl` gives them, or
+    ``row + 1`` if ``lines`` is None, for a file with no blank line."""
     try:
         yield
     except RecordError as exc:
         if exc.row is None:
             raise
-        with _text(path) as fh:
-            lines = [lineno for lineno, line in enumerate(fh, 1) if line.strip()]
-        raise RecordError(f"{path}:{lines[exc.row]}", exc.reason) from exc
+        line = exc.row + 1 if lines is None else int(lines[exc.row])
+        raise RecordError(f"{path}:{line}", exc.reason) from exc
 
 
 def complex_matrix(rows, name: str = "matrix") -> np.ndarray:

@@ -1,15 +1,14 @@
-"""Exponential-chart machinery shared by the two quorum constructions.
+"""The SU(2) exponential chart and the oracles built on it.
 
-The Weyl-Heisenberg and SU(2) cases are the only groups represented; each
-carries its chart data (sphere dimension, radial weight, formal degree)
-explicitly, and a deterministic Haar-integration oracle over the SU(2)
-chart is provided to verify the group-theoretic identities numerically.
+A deterministic Haar-integration oracle over the chart of radius 2 pi, with
+the radial weight 4 sin^2(t/2), verifies the group-theoretic identities
+numerically: the Haar volume 16 pi^2 and the orthogonality relations of the
+spin-j representation, whose formal degree is :func:`su2_formal_degree`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -19,9 +18,8 @@ from .numerics import QuadratureError, panel_rule, sphere_rule
 from .spin import axis_eigh
 
 __all__ = [
-    "QuorumSpec",
+    "su2_formal_degree",
     "jacobian_from_eigenvalues",
-    "radial_weight",
     "su2_exponential",
     "haar_integral_su2",
     "orthogonality_residual",
@@ -39,39 +37,12 @@ _SIGMA = (
 )
 
 
-@dataclass(frozen=True)
-class QuorumSpec:
-    """Chart data of one quorum: sphere dimension, measure and formal degree."""
-
-    group: str
-    sphere_dim: int
-    formal_degree: float
-    sphere_volume: float
-    radial_cutoff: float
-    two_j: int | None = None
-
-    @classmethod
-    def weyl_heisenberg(cls) -> "QuorumSpec":
-        return cls(
-            group="weyl-heisenberg",
-            sphere_dim=1,
-            formal_degree=1.0 / (2.0 * math.pi),
-            sphere_volume=2.0 * math.pi,
-            radial_cutoff=math.inf,
-        )
-
-    @classmethod
-    def su2(cls, two_j: int) -> "QuorumSpec":
-        if two_j < 1:
-            raise ValueError("two_j must be >= 1")
-        return cls(
-            group="su2",
-            sphere_dim=2,
-            formal_degree=(two_j + 1) / SU2_HAAR_VOLUME,
-            sphere_volume=4.0 * math.pi,
-            radial_cutoff=2.0 * math.pi,
-            two_j=two_j,
-        )
+def su2_formal_degree(two_j: int) -> float:
+    """Formal degree (2j+1) / 16 pi^2 of the spin-j representation under the
+    Haar measure of volume 16 pi^2."""
+    if two_j < 1:
+        raise ValueError("two_j must be >= 1")
+    return (two_j + 1) / SU2_HAAR_VOLUME
 
 
 def jacobian_from_eigenvalues(eigs) -> float:
@@ -95,19 +66,6 @@ def jacobian_from_eigenvalues(eigs) -> float:
     return float(product.real)
 
 
-def radial_weight(spec: QuorumSpec, t: float) -> float:
-    """Radial density |det d(exp)_{tn}| t^m, zero outside the chart domain."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if spec.group == "weyl-heisenberg":
-        return float(t)
-    if spec.group == "su2":
-        if t >= spec.radial_cutoff:
-            return 0.0
-        return float(4.0 * math.sin(t / 2.0) ** 2)
-    raise ValueError(f"unknown group {spec.group!r}")
-
-
 def su2_exponential(t: float, axis) -> np.ndarray:
     """Chart point exp(t n) in the defining representation.
 
@@ -119,8 +77,7 @@ def su2_exponential(t: float, axis) -> np.ndarray:
     return math.cos(t / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(t / 2.0) * n_sigma
 
 
-# sphere nodes per block, or (quadruple, node) rows in the orthogonality
-# oracle: there one block's (row, radial node) slab is 0.5 MB at the finest level
+# sphere nodes per block of the Haar oracle's chart points
 _NODE_BLOCK = 256
 
 def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
@@ -195,29 +152,27 @@ def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.n
     conjugate of the same product for (u2, v2), with W the eigenbasis of J_n
     at each axis; one row per (quadruple, node)."""
     u1, u2, v1, v2 = quads
-    _, vectors = axis_eigh(two_j, axes)
-    w_h = vectors.conj()
-    c1 = np.einsum("rnm,kn->krm", vectors, u1.conj())
-    c1 *= np.einsum("rnm,kn->krm", w_h, v1)
-    c2 = np.einsum("rnm,kn->krm", w_h, u2)
-    c2 *= np.einsum("rnm,kn->krm", vectors, v2.conj())
+    # W side by side for every node, (n, node * m), so each product is one matmul
+    w = axis_eigh(two_j, axes)[1].transpose(1, 0, 2).reshape(two_j + 1, -1)
+    w_conj = w.conj()
+    c1 = u1.conj() @ w
+    c1 *= v1 @ w_conj
+    c2 = u2 @ w_conj
+    c2 *= v2.conj() @ w
     return c1.reshape(-1, two_j + 1), c2.reshape(-1, two_j + 1)
 
 
 def _ortho_level(two_j: int, quads, axes, sphere_w, t, t_w) -> np.ndarray:
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     phases = np.exp(1j * np.outer(m_values, t))  # (m, t)
-    conj_phases = phases.conj()
-    # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m at each chart point,
-    # summed over t for a block of (quadruple, node) rows at a time
+    # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m at each chart point, so
+    # the radial sum of the product for (u1, v1) and the conjugate for (u2, v2)
+    # is c1 R c2 at each (quadruple, node) row, R[m, m'] = sum_t w_t e^{i t (m - m')}
+    radial_matrix = (phases * t_w) @ phases.conj().T
     c1, c2 = _coefficients(two_j, axes, quads)
-    radial = np.empty(len(c1), dtype=complex)
-    for lo in range(0, len(c1), _NODE_BLOCK):
-        hi = lo + _NODE_BLOCK
-        m = c1[lo:hi] @ phases  # (rows, t): u1^H U v1 at each radial node
-        m *= c2[lo:hi] @ conj_phases
-        radial[lo:hi] = m @ t_w
-    return 4.0 * math.pi * (radial.reshape(-1, len(axes)) @ sphere_w)
+    radial = c1 @ radial_matrix
+    radial *= c2
+    return 4.0 * math.pi * (radial.sum(axis=1).reshape(-1, len(axes)) @ sphere_w)
 
 
 def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
@@ -239,7 +194,7 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
             raise ValueError("u1, u2, v1 and v2 must stack the same number of vectors")
     quads = u1, u2, v1, v2 = [np.atleast_2d(vec) for vec in vecs]
     lhs = _chart_ladder(partial(_ortho_level, two_j, quads), relative=True, what="quadruple")
-    degree = QuorumSpec.su2(two_j).formal_degree
+    degree = su2_formal_degree(two_j)
     rhs = np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree
     residual = np.abs(lhs - rhs)
     return float(residual[0]) if vecs[0].ndim == 1 else residual

@@ -426,9 +426,10 @@ def _batch_from_rows(values: np.ndarray) -> np.ndarray:
     return homodyne_records(*values.reshape(-1, 2).T)
 
 
-def read_homodyne_records(path) -> np.ndarray:
-    """Record batch of a JSONL stream of y or x lines; errors name ``path:line``."""
-    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE))
+def read_homodyne_records(path, lines: list | None = None) -> np.ndarray:
+    """Record batch of a JSONL stream of y or x lines; errors name
+    ``path:line``, and a list ``lines`` receives the records' line numbers."""
+    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE), lines)
 
 
 def save_homodyne_state(rho: FockDensityMatrix, path) -> None:

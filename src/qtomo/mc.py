@@ -4,8 +4,9 @@ Accumulators are immutable values with the Chan-Golub-LeVeque merge
 (1983), so a record stream can be split into shards in any layout:
 determinism comes from the merge invariant, not from processing order.
 Each shard's moments come from two numpy passes (mean, then the sum of
-squared deviations).  Real and imaginary second moments are tracked
-separately because error bars are checked per component.
+squared deviations), summed in an order that no BLAS thread count
+changes.  Real and imaginary second moments are tracked separately
+because error bars are checked per component.
 """
 
 from __future__ import annotations
@@ -41,11 +42,16 @@ def moments(values) -> RunningEstimate:
         return RunningEstimate()
     mean = values.mean()
     dev = values - mean
+    # squared in place and summed by numpy's pairwise sum, not by a BLAS dot,
+    # whose order of summation changes with the BLAS thread count
+    squares = dev.real, dev.imag
+    for part in squares:
+        np.square(part, out=part)
     return RunningEstimate(
         count=values.size,
         mean=complex(mean),
-        m2_re=float(np.dot(dev.real, dev.real)),
-        m2_im=float(np.dot(dev.imag, dev.imag)),
+        m2_re=float(squares[0].sum()),
+        m2_im=float(squares[1].sum()),
     )
 
 

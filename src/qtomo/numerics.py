@@ -184,14 +184,18 @@ def _refine(estimate: Callable[[int], np.ndarray], n_panels: int):
     raise QuadratureError((prev, cur), QUADRATURE_TOL)
 
 
-def integrate_real(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def integrate_real(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
+) -> float | np.ndarray:
     """Composite Gauss-Legendre integral of a vectorized real integrand.
 
     The panel count starts at :func:`oscillatory_panel_count` of frequency 0
     over |b - a|, so no panel is wider than pi / 2, and doubles until two
     successive refinement levels agree within QUADRATURE_TOL (absolute);
-    ``f`` must accept an ndarray of nodes.  An interval that needs more than
-    2**15 initial panels raises QuadratureError naming it.
+    ``f`` must accept an ndarray of nodes.  If ``f`` returns k rows of
+    values, shape (k, nodes), the result is the k integrals, which climb the
+    ladder together until every one of them settles.  An interval that
+    needs more than 2**15 initial panels raises QuadratureError naming it.
     """
     start = oscillatory_panel_count(0.0, abs(b - a))
     # written so that a NaN width, whose count is NaN, fails too
@@ -201,9 +205,10 @@ def integrate_real(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) ->
 
     def estimate(n_panels):
         nodes, weights = panel_rule(a, b, n_panels)
-        return np.sum(weights * np.asarray(f(nodes)))
+        return np.sum(weights * np.asarray(f(nodes)), axis=-1)
 
-    return float(np.real(_refine(estimate, int(start))))
+    value = np.real(_refine(estimate, int(start)))
+    return value if value.ndim else float(value)
 
 
 def oscillatory_panel_count(frequency: float | np.ndarray, cutoff: float):

@@ -139,10 +139,16 @@ def _valid_two_m(two_j: int, two_m):
     return (np.abs(two_m) <= two_j) & ((two_m - two_j) % 2 == 0)
 
 
-def check_two_m(two_j: int, two_m: int) -> None:
-    """ValueError unless the outcome label two_m fits spin two_j / 2."""
-    if not _valid_two_m(two_j, two_m):
-        raise ValueError(f"two_m={two_m} invalid for two_j={two_j}")
+def check_two_m(two_j: int, two_m) -> None:
+    """ValueError unless the outcome label two_m, an integer, fits spin two_j /
+    2; over a 1-d array of labels, naming the first that does not."""
+    labels = np.asarray(two_m)
+    if labels.ndim > 1 or labels.dtype.kind not in "iu":
+        raise ValueError(f"two_m must be an integer or a 1-d array of integers, got {two_m!r}")
+    labels = labels.reshape(-1)
+    bad = ~_valid_two_m(two_j, labels)
+    if bad.any():
+        raise ValueError(f"two_m={labels[bad.argmax()].item()} invalid for two_j={two_j}")
 
 
 def maximally_mixed(two_j: int) -> SpinDensityMatrix:
@@ -286,16 +292,19 @@ def _axis_expectations(a_matrix: np.ndarray, two_j: int, axis) -> np.ndarray:
     return _diagonals(a_matrix, vectors)
 
 
-def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda: int) -> complex:
-    """Closed-form estimator value for an arbitrary (possibly non-Hermitian) operator."""
+def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda) -> complex | np.ndarray:
+    """Closed-form estimator value for an arbitrary (possibly non-Hermitian)
+    operator: one complex for an int ``two_lambda``, one per element for a
+    1-d array of them."""
     a_matrix = np.asarray(a_matrix, dtype=complex)
     two_j = a_matrix.shape[0] - 1
     check_two_m(two_j, two_lambda)
-    sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))
-    return complex(sigma[0, (two_lambda + two_j) // 2])
+    sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))[0]
+    values = sigma[(np.asarray(two_lambda) + two_j) // 2]
+    return values if np.ndim(two_lambda) else complex(values)
 
 
-def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
+def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda) -> float | np.ndarray:
     """Estimator value sigma(A)(n, lambda) in exact closed form.
 
     Writing a_m for the diagonal of A in the J_n eigenbasis (zero outside
@@ -303,17 +312,21 @@ def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
     Averaged over records it reproduces Tr[A rho].  Per axis it runs
     :func:`axis_eigh`, so it is the oracle of :class:`SpinOperatorKernel`'s
     harmonic table, and :func:`kernel_spin_numeric` is its quadrature oracle.
+    An int ``two_lambda`` gives a float; a 1-d array of them gives one value
+    per element, from one eigendecomposition.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
-    return float(kernel_spin_closed_general(a_matrix, axis, two_lambda).real)
+    return kernel_spin_closed_general(a_matrix, axis, two_lambda).real
 
 
-def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
+def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda) -> float | np.ndarray:
     """Estimator via direct quadrature of the oscillatory kernel integral.
 
     Integrates (2j+1)/pi * e^{i lambda t} Tr[A e^{-i t J_n}] sin^2(t/2) over
     a full period to the QUADRATURE_TOL of :func:`numerics.integrate_oscillatory`
     and checks that the imaginary residue is below 1e-9 before discarding it.
+    An int ``two_lambda`` gives a float; a 1-d array of them gives one value
+    per element, all from one array call of the integrator.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = a_matrix.shape[0] - 1
@@ -325,10 +338,11 @@ def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda: int) -> float:
         trace = a_diag @ np.exp(-1j * np.outer(m_values, t))
         return (two_j + 1) / np.pi * trace * np.sin(t / 2.0) ** 2
 
-    value = numerics.integrate_oscillatory(g, two_lambda / 2.0, 2.0 * np.pi)
-    if abs(value.imag) > 1e-9:
-        raise RuntimeError(f"kernel integral has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    value = numerics.integrate_oscillatory(g, np.asarray(two_lambda) / 2.0, 2.0 * np.pi)
+    residue = np.abs(np.imag(value))
+    if np.any(residue > 1e-9):
+        raise RuntimeError(f"kernel integral has imaginary residue {np.max(residue):.3e}")
+    return value.real
 
 
 def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
@@ -404,9 +418,10 @@ def _batch_from_rows(values: np.ndarray) -> np.ndarray:
     return spin_records(rows[:, :3], rows[:, 3].astype(np.int64))
 
 
-def read_spin_records(path) -> np.ndarray:
-    """Record batch of a JSONL stream; errors name ``path:line``."""
-    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE))
+def read_spin_records(path, lines: list | None = None) -> np.ndarray:
+    """Record batch of a JSONL stream; errors name ``path:line``, and a list
+    ``lines`` receives the records' line numbers."""
+    return read_jsonl(path, _row_from_json, _batch_from_rows, line_regex(_LINE), lines)
 
 
 def save_spin_state(rho: SpinDensityMatrix, path) -> None:

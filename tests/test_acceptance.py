@@ -63,16 +63,14 @@ def test_criterion_2_formal_degree_orthogonality():
     rng = np.random.default_rng(7)
     worst = 0.0
     for two_j, degree_num in ((1, 2.0), (2, 3.0)):
-        spec = groups.QuorumSpec.su2(two_j)
-        assert spec.formal_degree == pytest.approx(
-            degree_num / (16.0 * math.pi**2), rel=1e-15
-        )
+        degree = groups.su2_formal_degree(two_j)
+        assert degree == pytest.approx(degree_num / (16.0 * math.pi**2), rel=1e-15)
         dim = two_j + 1
         for _ in range(20):
             vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
             u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
             residual = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
-            rhs = abs((u1.conj() @ u2) * (v2.conj() @ v1) / spec.formal_degree)
+            rhs = abs((u1.conj() @ u2) * (v2.conj() @ v1) / degree)
             worst = max(worst, residual / (1.0 + rhs))
     elapsed = time.perf_counter() - start
     report(

@@ -448,6 +448,45 @@ class TestValidate:
         assert cli.run_validation_suite()["passed"] is True
         assert calls == [(1, 512), (1, 1152), (2, 512), (2, 1152)]
 
+    def test_suite_stacks_its_quadratures(self, monkeypatch):
+        # one oscillatory integral per (two_j, axis) for all its lambdas, one
+        # eigenbasis per axis in each spin oracle, one integral for all phases
+        calls = {"integrate_oscillatory": 0, "integrate_real": 0, "axis_eigh": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(numerics, "integrate_oscillatory")
+        counted(numerics, "integrate_real")
+        counted(spin, "axis_eigh")
+        assert cli.run_validation_suite()["passed"] is True
+        assert calls == {"integrate_oscillatory": 15, "integrate_real": 1, "axis_eigh": 30}
+
+    # each check's value from the suite that took one lambda and one phase
+    # per call and summed the radial rule node by node; stacking and
+    # regrouping those sums moves them by roundoff at most
+    UNSTACKED_VALUES = {
+        2024: [157.9136704174322, 4.79875270455657e-15, 5.298811969992215e-15,
+               1.7763568394002505e-15, 2.220446049250313e-16, 6.661338147750939e-16],
+        7: [157.9136704174322, 4.79875270455657e-15, 5.298811969992215e-15,
+            8.881784197001252e-16, 2.220446049250313e-16, 6.661338147750939e-16],
+    }
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_values_match_the_unstacked_suite(self, seed):
+        report = cli.run_validation_suite(seed)
+        values = [check["value"] for check in report["checks"]]
+        assert report["passed"] is True
+        # the Haar volume's sums are not regrouped: it keeps every bit
+        assert values[0] == self.UNSTACKED_VALUES[seed][0]
+        assert np.all(np.abs(np.subtract(values, self.UNSTACKED_VALUES[seed])) <= 1e-12)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_suite_passes_at_every_seed(self, seed):
         report = cli.run_validation_suite(seed)
@@ -1233,6 +1272,81 @@ class TestShardedCodec:
             assert forks == str(2 * (cores - 1))
             outputs[cores] = [(run / name).read_bytes() for name in ("records.jsonl", "result.json")]
         assert outputs[1] == outputs[2]
+
+
+def run_cli(cwd, argv, stdin="", env=None) -> subprocess.CompletedProcess:
+    """``qtomo argv`` in a fresh interpreter fed ``stdin`` through a pipe."""
+    src = str(Path(qtomo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qtomo.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestRecordsFromAPipe:
+    """A pipe can be read once: ``reconstruct`` maps a bad record to its
+    line from that one read."""
+
+    def reconstruct(self, tmp_path, target, text):
+        payload = {"records_path": "/dev/stdin", "target": target}
+        config = write_config(tmp_path, "pipe.json", payload)
+        return run_cli(tmp_path, ["reconstruct", "--config", config], stdin=text)
+
+    def test_result_matches_the_file_read(self, tmp_path):
+        # the file takes the canonical reader, the pipe the general one
+        text = '{"phi": 0.5, "y": 0.25}\n{"phi": 1.5, "y": -0.75}\n'
+        (tmp_path / "records.jsonl").write_text(text)
+        target = {"type": "matrix-element", "n": 0, "l": 1}
+        piped = self.reconstruct(tmp_path, target, text)
+        payload = {"records_path": "records.jsonl", "target": target}
+        config = write_config(tmp_path, "file.json", payload)
+        from_file = run_cli(tmp_path, ["reconstruct", "--config", config])
+        assert piped.returncode == from_file.returncode == 0, piped.stderr
+        assert piped.stdout == from_file.stdout
+
+    def test_record_the_batch_rejects_names_its_line(self, tmp_path):
+        text = '{"phi": 0.5, "y": 0.25}\n{"phi": 7.0, "y": 0.25}\n'
+        proc = self.reconstruct(tmp_path, {"type": "photon-number"}, text)
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]
+        assert err["code"] == "data"
+        assert err["message"].startswith("/dev/stdin:2: phi must lie in [0, 2 pi)")
+
+    def test_record_the_kernel_rejects_names_its_line(self, tmp_path):
+        text = '\n{"axis": [0.0, 0.0, 1.0], "two_m": 1}\n{"axis": [0.0, 0.0, 1.0], "two_m": 2}\n'
+        target = {"type": "spin-operator", "name": "Jz", "two_j": 1}
+        proc = self.reconstruct(tmp_path, target, text)
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]
+        assert err == {"code": "data", "message": "/dev/stdin:3: two_m invalid for two_j=1, got 2"}
+
+
+def test_reconstruct_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """A BLAS reduction may sum in another order on more threads; the
+    result file is the same bytes under one BLAS thread and two."""
+    spin.save_spin_state(spin.maximally_mixed(1), tmp_path / "state.json")
+    config = write_config(tmp_path, "run.json", {
+        "seed": 3,
+        "count": 40_000,
+        "state_path": str(tmp_path / "state.json"),
+        "records_path": str(tmp_path / "records.jsonl"),
+        "target": {"type": "spin-operator", "name": "Jx", "two_j": 1},
+    })
+    assert cli.main(["simulate-spin", "--config", config]) == 0
+    results = set()
+    for threads in ("1", "2"):
+        env = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        proc = run_cli(tmp_path, ["reconstruct", "--config", config], env=env)
+        assert proc.returncode == 0, proc.stderr
+        results.add(proc.stdout)
+    assert len(results) == 1
 
 
 class TestJsonSerializer:

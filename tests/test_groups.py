@@ -9,23 +9,16 @@ from qtomo import cli, groups, numerics
 TWO_PI = 2.0 * math.pi
 
 
-class TestQuorumSpec:
-    def test_weyl_heisenberg_data(self):
-        spec = groups.QuorumSpec.weyl_heisenberg()
-        assert spec.sphere_dim == 1
-        assert spec.formal_degree == pytest.approx(1.0 / TWO_PI, rel=1e-15)
-        assert spec.sphere_volume == pytest.approx(TWO_PI, rel=1e-15)
-        assert math.isinf(spec.radial_cutoff)
-
-    def test_su2_data(self):
+class TestFormalDegree:
+    def test_su2_formal_degree(self):
         for two_j in (1, 2, 3):
-            spec = groups.QuorumSpec.su2(two_j)
-            assert spec.sphere_dim == 2
-            assert spec.formal_degree == pytest.approx(
+            assert groups.su2_formal_degree(two_j) == pytest.approx(
                 (two_j + 1) / (16.0 * math.pi**2), rel=1e-15
             )
-            assert spec.sphere_volume == pytest.approx(4.0 * math.pi, rel=1e-15)
-            assert spec.radial_cutoff == pytest.approx(TWO_PI, rel=1e-15)
+
+    def test_rejects_two_j_below_one(self):
+        with pytest.raises(ValueError, match="two_j must be >= 1"):
+            groups.su2_formal_degree(0)
 
 
 class TestJacobian:
@@ -54,36 +47,6 @@ class TestJacobian:
     def test_rejects_conjugate_open_list(self):
         with pytest.raises(ValueError, match="conjugate"):
             groups.jacobian_from_eigenvalues([2.0j])
-
-
-class TestRadialWeight:
-    def test_weyl_heisenberg_is_linear(self):
-        spec = groups.QuorumSpec.weyl_heisenberg()
-        assert groups.radial_weight(spec, 3.7) == 3.7
-
-    def test_su2_at_pi(self):
-        spec = groups.QuorumSpec.su2(1)
-        assert groups.radial_weight(spec, math.pi) == pytest.approx(4.0, abs=1e-14)
-
-    def test_su2_outside_chart(self):
-        spec = groups.QuorumSpec.su2(1)
-        assert groups.radial_weight(spec, 6.5) == 0.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            groups.radial_weight(groups.QuorumSpec.su2(1), 0.0)
-
-    def test_integral_reproduces_haar_volume(self):
-        # radial weight integrated over the chart, times the sphere area
-        spec = groups.QuorumSpec.su2(1)
-        radial = numerics.integrate_real(
-            lambda t: np.array([groups.radial_weight(spec, v) for v in np.atleast_1d(t)]),
-            1e-12,
-            TWO_PI,
-        )
-        assert spec.sphere_volume * radial == pytest.approx(
-            groups.SU2_HAAR_VOLUME, abs=1e-8
-        )
 
 
 class TestHaarIntegral:
@@ -184,7 +147,7 @@ class TestOrthogonality:
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_random_quadruples(self, two_j):
         rng = np.random.default_rng(100 + two_j)
-        degree = groups.QuorumSpec.su2(two_j).formal_degree
+        degree = groups.su2_formal_degree(two_j)
         dim = two_j + 1
         for _ in range(20):
             vecs = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
@@ -197,7 +160,7 @@ class TestOrthogonality:
         # same integral through the generic 2x2-matrix surface
         e0 = np.array([1.0, 0.0], dtype=complex)
         via_haar = groups.haar_integral_su2(lambda g: abs(g[..., 0, 0]) ** 2)
-        degree = groups.QuorumSpec.su2(1).formal_degree
+        degree = groups.su2_formal_degree(1)
         assert via_haar.real == pytest.approx(1.0 / degree * 1.0, rel=1e-6)
         residual = groups.orthogonality_residual(1, e0, e0, e0, e0)
         assert residual <= 1e-6 * (1.0 + 1.0 / degree)
@@ -206,7 +169,7 @@ class TestOrthogonality:
     def test_converges_at_large_j(self, two_j):
         # a fixed pair of levels raised here; the ladder climbs until two agree
         rng = np.random.default_rng(200 + two_j)
-        degree = groups.QuorumSpec.su2(two_j).formal_degree
+        degree = groups.su2_formal_degree(two_j)
         vecs = rng.normal(size=(4, 3, two_j + 1)) + 1j * rng.normal(size=(4, 3, two_j + 1))
         u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
         u2[0] = u1[0]
@@ -228,11 +191,27 @@ def validate_quadruples(two_j, seed=2024):
     return cli._validation_inputs(seed)["quadruples"][two_j]
 
 
+def ortho_level_per_radial_node(two_j, quads, axes, sphere_w, t, t_w):
+    """One chart level of the orthogonality oracle, summed as its definition
+    reads: at each radial node t the product of the matrix coefficients
+    u1^H U v1 and conj(u2^H U v2), U = W e^{i t m} W^H, added with weight w_t."""
+    u1, u2, v1, v2 = quads
+    _, w = groups.axis_eigh(two_j, axes)
+    m_values = -two_j / 2.0 + np.arange(two_j + 1)
+    radial = np.zeros((len(u1), len(axes)), dtype=complex)
+    for node, weight in zip(t, t_w):
+        u = np.einsum("rnm,m,rkm->rnk", w, np.exp(1j * node * m_values), w.conj())
+        first = np.einsum("qn,rnk,qk->qr", u1.conj(), u, v1)
+        second = np.einsum("qn,rnk,qk->qr", u2.conj(), u, v2)
+        radial += weight * first * second.conj()
+    return 4.0 * math.pi * (radial @ sphere_w)
+
+
 class TestStackedOrthogonality:
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_stack_matches_one_quadruple_calls(self, two_j):
         u1, u2, v1, v2 = validate_quadruples(two_j)
-        degree = groups.QuorumSpec.su2(two_j).formal_degree
+        degree = groups.su2_formal_degree(two_j)
         stacked = groups.orthogonality_residual(two_j, u1, u2, v1, v2)
         assert stacked.shape == (6,)
         for k in range(6):
@@ -240,6 +219,18 @@ class TestStackedOrthogonality:
             assert isinstance(single, float)
             rhs = abs((u1[k].conj() @ u2[k]) * (v2[k].conj() @ v1[k]) / degree)
             assert abs(stacked[k] - single) <= 1e-14 * (1.0 + rhs)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 16])
+    def test_factored_level_matches_per_radial_node_sum(self, two_j):
+        rng = np.random.default_rng(400 + two_j)
+        vecs = rng.normal(size=(4, 3, two_j + 1)) + 1j * rng.normal(size=(4, 3, two_j + 1))
+        quads = list(vecs / np.linalg.norm(vecs, axis=2, keepdims=True))
+        axes, sphere_w = numerics.sphere_rule(16)
+        t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
+        t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
+        want = ortho_level_per_radial_node(two_j, quads, axes, sphere_w, t, t_w)
+        got = groups._ortho_level(two_j, quads, axes, sphere_w, t, t_w)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_one_eigenbasis_per_level(self, monkeypatch):
         calls = []

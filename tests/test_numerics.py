@@ -90,6 +90,30 @@ class TestIntegrateReal:
         val = numerics.integrate_real(lambda t: t * np.exp(-t * t / 4.0), 0.0, 20.0)
         assert val == pytest.approx(2.0, abs=1e-10)
 
+    def test_rows_match_one_call_per_row(self):
+        # rows that settle at different levels climb the one ladder together
+        def integrand(k, t):
+            return np.cos(k * t) ** 2 * np.exp(-t)
+
+        ks = [0.0, 1.0, 5.0, 40.0]
+        rows = numerics.integrate_real(lambda t: np.stack([integrand(k, t) for k in ks]), 0.0, 3.0)
+        assert rows.shape == (len(ks),) and rows.dtype == float
+        for k, value in zip(ks, rows.tolist()):
+            single = numerics.integrate_real(lambda t: integrand(k, t), 0.0, 3.0)
+            assert isinstance(single, float)
+            assert abs(value - single) <= numerics.QUADRATURE_TOL
+
+    def test_rows_climb_until_every_row_settles(self):
+        def levels(f):
+            sizes = []
+            numerics.integrate_real(lambda t: sizes.append(t.size) or f(t), 0.0, 3.0)
+            return sizes
+
+        smooth = lambda t: np.exp(-t)
+        wiggly = lambda t: np.cos(60.0 * t) ** 2 * np.exp(-t)
+        assert len(levels(smooth)) < len(levels(wiggly))
+        assert levels(lambda t: np.stack([smooth(t), wiggly(t)])) == levels(wiggly)
+
     def test_widest_interval_takes_a_second_level(self):
         # the widest interval that may start, at 2**15 panels of width pi / 2
         width = 2**15 * math.pi / 2.0

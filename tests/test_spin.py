@@ -324,12 +324,43 @@ class TestKernels:
         with pytest.raises(ValueError):
             spin.kernel_spin_closed(eye, (0.0, 0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("two_j", range(1, 7))
+    def test_array_of_lambdas_matches_one_call_per_lambda(self, two_j):
+        rng = np.random.default_rng(300 + two_j)
+        raw = rng.normal(size=(two_j + 1, two_j + 1)) + 1j * rng.normal(size=(two_j + 1, two_j + 1))
+        a_matrix = (raw + raw.conj().T) / 2.0
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        two_lambdas = np.arange(-two_j, two_j + 1, 2)
+        closed = spin.kernel_spin_closed(a_matrix, axis, two_lambdas)
+        numeric = spin.kernel_spin_numeric(a_matrix, axis, two_lambdas)
+        assert closed.shape == numeric.shape == (two_j + 1,)
+        for k, two_lambda in enumerate(two_lambdas.tolist()):
+            one_closed = spin.kernel_spin_closed(a_matrix, axis, two_lambda)
+            one_numeric = spin.kernel_spin_numeric(a_matrix, axis, two_lambda)
+            assert isinstance(one_closed, float) and isinstance(one_numeric, float)
+            assert abs(closed[k] - one_closed) <= numerics.QUADRATURE_TOL
+            assert abs(numeric[k] - one_numeric) <= numerics.QUADRATURE_TOL
+
+    @pytest.mark.parametrize("oracle", [spin.kernel_spin_closed, spin.kernel_spin_numeric])
+    def test_array_of_lambdas_rejects_any_invalid_element(self, oracle):
+        jz = spin.spin_matrices(2)[2]
+        with pytest.raises(ValueError, match="two_m=1 invalid for two_j=2"):
+            oracle(jz, (0.0, 0.0, 1.0), np.array([-2, 0, 1, 2]))
+        with pytest.raises(ValueError, match="two_m=4 invalid for two_j=2"):
+            oracle(jz, (0.0, 0.0, 1.0), np.array([4]))
+        with pytest.raises(ValueError, match="integer"):
+            oracle(jz, (0.0, 0.0, 1.0), np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="1-d array"):
+            oracle(jz, (0.0, 0.0, 1.0), np.array([[0, 2]]))
+
     def test_prefactor_consistency_with_chart_measure(self):
-        # d * C_m * radial weight reproduces the kernel integrand prefactor
+        # the formal degree times the sphere area 4 pi and the chart's radial
+        # weight 4 sin^2(t/2) reproduces the kernel integrand prefactor
         for two_j in (1, 2, 3):
-            spec = groups.QuorumSpec.su2(two_j)
+            degree = groups.su2_formal_degree(two_j)
             for t in np.linspace(1e-3, 2.0 * math.pi - 1e-3, 100):
-                chart = spec.formal_degree * spec.sphere_volume * groups.radial_weight(spec, t)
+                chart = degree * 4.0 * math.pi * 4.0 * math.sin(t / 2.0) ** 2
                 kernel = (two_j + 1) / math.pi * math.sin(t / 2.0) ** 2
                 assert chart == pytest.approx(kernel, rel=1e-12)
 
