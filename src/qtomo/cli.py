@@ -341,13 +341,9 @@ def run_validation_suite(seed: int = 2024) -> dict:
 
     rho = homodyne.FockDensityMatrix(8, inputs["rho"])
     y_max = homodyne.default_y_max(rho.n_max)
-    # one integral per phase, all on one ladder
+    # one integral per phase, all on one ladder, one eigenfunction table per level
     totals = numerics.integrate_real(
-        lambda y: np.stack(
-            [homodyne.quadrature_density_grid(rho, float(phi), y) for phi in inputs["phases"]]
-        ),
-        -y_max,
-        y_max,
+        lambda y: homodyne.quadrature_density_grid(rho, inputs["phases"], y), -y_max, y_max
     )
     worst = float(np.max(np.abs(totals - 1.0)))
     add("omega_normalization", worst, 0.0, worst, 1e-6)

@@ -152,22 +152,26 @@ def default_y_max(n_max: int) -> float:
     return math.sqrt(2.0 * (n_max + 1)) + 6.0
 
 
-def _mode_vectors(rho: FockDensityMatrix, phi: float, y_grid: np.ndarray) -> np.ndarray:
-    psi = numerics.oscillator_eigenfunctions(rho.n_max, y_grid)
-    phases = np.exp(1j * PHASE_SIGN * phi * np.arange(rho.n_max + 1))
-    return phases[:, None] * psi
+def quadrature_density_grid(rho: FockDensityMatrix, phi, y) -> np.ndarray:
+    """omega(phi, y) on an array of outcomes, clamped at zero.
 
-
-def quadrature_density_grid(rho: FockDensityMatrix, phi: float, y) -> np.ndarray:
-    """omega(phi, y) on an array of outcomes, clamped at zero."""
+    ``phi`` is a scalar, or a 1-d array of phases that gives one row per
+    phase, shape (phases, outcomes); the rows share one evaluation of the
+    eigenfunctions, and each equals the row of its phase alone bit for bit.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    v = _mode_vectors(rho, phi, y)
-    dens = np.einsum("ny,nm,my->y", v.conj(), rho.matrix, v).real
+    psi = numerics.oscillator_eigenfunctions(rho.n_max, y)
+    levels = np.arange(rho.n_max + 1)
+    rows = []
+    for angle in np.atleast_1d(np.asarray(phi, dtype=float)).tolist():
+        v = np.exp(1j * PHASE_SIGN * angle * levels)[:, None] * psi
+        rows.append(np.einsum("ny,nm,my->y", v.conj(), rho.matrix, v).real)
+    dens = np.stack(rows)
     low = float(dens.min(initial=0.0))
     if low < -1e-10:
         raise RuntimeError(f"density evaluated to {low:.3e}; state is inconsistent")
     np.clip(dens, 0.0, None, out=dens)
-    return dens
+    return dens if np.ndim(phi) else dens[0]
 
 
 def quadrature_density(rho: FockDensityMatrix, phi: float, y: float) -> float:
@@ -354,12 +358,15 @@ class MatrixElementKernel:
     evaluate K of the base pair (n, |l|), with Y = :func:`default_kernel_cutoff`
     of that pair as the cutoff of its integral and the half-width of its
     table.  The first :meth:`evaluate` that needs the table builds it once: a
-    Chebyshev interpolant of :func:`kernel_matrix_element` on [-Y, Y] by
-    :func:`numerics.chebyshev_fit`, within QUADRATURE_TOL of the quadrature.
-    Every outcome with |y| <= Y takes its value from the table, a pure
-    function of (n, l, y); only outcomes past Y go through the quadrature,
-    where a batch value can differ within that tolerance from the same
-    outcome evaluated alone.
+    Chebyshev interpolant of K on [-Y, Y] by :func:`numerics.chebyshev_fit`,
+    whose values at the Chebyshev points come from one fixed composite rule,
+    :func:`numerics.fixed_oscillatory_rule` with its panel count settled at
+    y = +-Y, in place of the adaptive quadrature of
+    :func:`kernel_matrix_element`, which is the table's oracle.  Every
+    outcome with |y| <= Y takes its value from the table by
+    :func:`numerics.chebyshev_values`, a pure function of (n, l, y); only
+    outcomes past Y go through the quadrature, where a batch value can
+    differ within that tolerance from the same outcome evaluated alone.
     """
 
     def __init__(self, n: int, l: int):
@@ -372,6 +379,15 @@ class MatrixElementKernel:
         self._y_max = default_kernel_cutoff(*self._base)
         self._table = None
 
+    def _build_table(self) -> np.ndarray:
+        base_n, base_l = self._base
+        y_max = self._y_max
+        integral = numerics.fixed_oscillatory_rule(
+            lambda t: _kernel_envelope(base_n, base_l, t), y_max, y_max
+        )
+        phase = (-1j) ** (base_l % 4)
+        return numerics.chebyshev_fit(lambda x: phase * integral(y_max * x))
+
     def _kernel_values(self, y: np.ndarray) -> np.ndarray:
         """K of the base pair at each outcome: the table inside [-Y, Y], the
         quadrature outside."""
@@ -379,10 +395,8 @@ class MatrixElementKernel:
         values = np.empty(y.shape, dtype=complex)
         if inside.any():
             if self._table is None:
-                self._table = numerics.chebyshev_fit(
-                    lambda x: kernel_matrix_element(*self._base, self._y_max * x)
-                )
-            values[inside] = np.polynomial.chebyshev.chebval(y[inside] / self._y_max, self._table)
+                self._table = self._build_table()
+            values[inside] = numerics.chebyshev_values(y[inside] / self._y_max, self._table)
         if not inside.all():
             values[~inside] = kernel_matrix_element(*self._base, y[~inside])
         return values

@@ -22,10 +22,12 @@ __all__ = [
     "oscillator_eigenfunctions",
     "integrate_real",
     "integrate_oscillatory",
+    "fixed_oscillatory_rule",
     "panel_rule",
     "sphere_rule",
     "real_spherical_harmonics",
     "chebyshev_fit",
+    "chebyshev_values",
 ]
 
 MAX_POLY_DEGREE = 200
@@ -35,7 +37,19 @@ HERMITIAN_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 
 _GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# the positive nodes and their weights of leggauss(16), mirrored: a literal
+# table, so importing this module runs no eigensolver and loads no
+# numpy.polynomial
+_GL_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _MAX_DOUBLINGS = 14
 # no refinement level has more panels, so one level holds at most 2**21 nodes
 _MAX_PANELS = 2**17
@@ -170,7 +184,8 @@ def _refine(estimate: Callable[[int], np.ndarray], n_panels: int):
     """The refinement ladder: double the panel count until two successive
     ``estimate(n_panels)`` agree within QUADRATURE_TOL in the real and the
     imaginary part of every component, at most 14 times and never past 2**17
-    panels; else QuadratureError with the estimates of the last two levels."""
+    panels; the settled estimate and its panel count, else QuadratureError
+    with the estimates of the last two levels."""
     prev, cur = None, estimate(n_panels)
     for _ in range(_MAX_DOUBLINGS):
         if 2 * n_panels > _MAX_PANELS:
@@ -180,7 +195,7 @@ def _refine(estimate: Callable[[int], np.ndarray], n_panels: int):
         if np.all(np.abs(cur.real - prev.real) <= QUADRATURE_TOL) and np.all(
             np.abs(cur.imag - prev.imag) <= QUADRATURE_TOL
         ):
-            return cur
+            return cur, n_panels
     raise QuadratureError((prev, cur), QUADRATURE_TOL)
 
 
@@ -207,7 +222,7 @@ def integrate_real(
         nodes, weights = panel_rule(a, b, n_panels)
         return np.sum(weights * np.asarray(f(nodes)), axis=-1)
 
-    value = np.real(_refine(estimate, int(start)))
+    value = np.real(_refine(estimate, int(start))[0])
     return value if value.ndim else float(value)
 
 
@@ -266,16 +281,8 @@ def integrate_oscillatory(
     rules = {}
 
     def rule(n_panels):
-        """Panel midpoints, node offsets within a panel and weighted g values."""
         if n_panels not in rules:
-            nodes, weights = panel_rule(0.0, cutoff, n_panels)
-            width = cutoff / n_panels
-            weighted = (weights * g(nodes)).reshape(n_panels, _GL_ORDER).T
-            rules[n_panels] = (
-                (np.arange(n_panels) + 0.5) * width,
-                0.5 * width * _GL_NODES,
-                weighted.astype(complex),
-            )
+            rules[n_panels] = _phase_rule(g, cutoff, n_panels)
         return rules[n_panels]
 
     out = np.empty(flat.size, dtype=complex)
@@ -283,21 +290,64 @@ def integrate_oscillatory(
     for p in sorted(set(counts.tolist())):
         sel = np.nonzero(counts == p)[0]
         group = flat[sel]
-
-        def estimate(n_panels):
-            mids, offsets, weighted = rule(n_panels)
-            rows = max(1, _PHASE_BLOCK // n_panels)
-            return np.concatenate([
-                np.sum(
-                    np.exp(1j * np.outer(block, mids))
-                    * (np.exp(1j * np.outer(block, offsets)) @ weighted),
-                    axis=1,
-                )
-                for block in np.split(group, range(rows, group.size, rows))
-            ])
-
-        out[sel] = _refine(estimate, int(p))
+        out[sel], _ = _refine(lambda n_panels: _phase_sum(group, *rule(n_panels)), int(p))
     return out if freqs.ndim else complex(out[0])
+
+
+def _phase_rule(g, cutoff: float, n_panels: int):
+    """Panel midpoints, node offsets within a panel and the weighted values
+    of ``g``, shape (16, n_panels), of the panel rule on [0, cutoff]."""
+    nodes, weights = panel_rule(0.0, cutoff, n_panels)
+    width = cutoff / n_panels
+    weighted = (weights * g(nodes)).reshape(n_panels, _GL_ORDER).T
+    return (np.arange(n_panels) + 0.5) * width, 0.5 * width * _GL_NODES, weighted.astype(complex)
+
+
+def _phase_sum(freqs: np.ndarray, mids: np.ndarray, offsets: np.ndarray, weighted: np.ndarray):
+    """The rule of :func:`_phase_rule` applied to e^{i f t} g(t), one value
+    per frequency f of a 1-d array.  The phase is factored per panel, e^{i f
+    t} = e^{i f mid} e^{i f (t - mid)}, and the (frequencies x panels) phase
+    matrix is formed in blocks of _PHASE_BLOCK entries."""
+    rows = max(1, _PHASE_BLOCK // mids.size)
+    out = np.empty(freqs.size, dtype=complex)
+    for start in range(0, freqs.size, rows):
+        block = freqs[start : start + rows]
+        # in place, and freed before the next block's, so at most two phase
+        # matrices are held at a time
+        phase = 1j * np.outer(block, mids)
+        np.exp(phase, out=phase)
+        phase *= np.exp(1j * np.outer(block, offsets)) @ weighted
+        out[start : start + rows] = phase.sum(axis=1)
+        del phase
+    return out
+
+
+def fixed_oscillatory_rule(
+    g: Callable[[np.ndarray], np.ndarray], max_frequency: float, cutoff: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The integral of e^{i f t} g(t) over [0, cutoff] as a function of a
+    1-d array of frequencies |f| <= ``max_frequency``, on one fixed rule.
+
+    The rule is the level at which the refinement ladder settles for the
+    two hardest frequencies, f = +-max_frequency, climbed once from 1/8 of
+    their :func:`oscillatory_panel_count`; ``g`` is weighted by it once.
+    Each value is then a pure function of its frequency, a sum of the same
+    panel terms as :func:`integrate_oscillatory` forms, without a ladder of
+    its own.
+    """
+    hardest = np.array([-max_frequency, max_frequency], dtype=float)
+    # that count keeps a panel within a quarter period, which the 16-point
+    # rule resolves with room to spare, so the ladder starts lower
+    start = max(1, int(oscillatory_panel_count(max_frequency, cutoff)) // 8)
+    rules = {}
+
+    def estimate(n_panels):
+        rules[n_panels] = _phase_rule(g, cutoff, n_panels)
+        return _phase_sum(hardest, *rules[n_panels])
+
+    _, settled = _refine(estimate, start)
+    rule = rules[settled]
+    return lambda freqs: _phase_sum(np.asarray(freqs, dtype=float), *rule)
 
 
 def _chebyshev_points(degree: int) -> np.ndarray:
@@ -317,9 +367,36 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def chebyshev_values(x, coeffs: np.ndarray) -> np.ndarray:
+    """The Chebyshev series sum_k coeffs[k] T_k(x) at each point of ``x``.
+
+    Clenshaw's recurrence, in the order of numpy's ``chebval``, whose values
+    it reproduces bit for bit; ``coeffs`` is a 1-d real or complex array.
+    The recurrence runs in place on three arrays of the size of ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(coeffs)
+    if c.size == 1:
+        return c[0] + 0.0 * x
+    if c.size == 2:
+        return c[0] + c[1] * x
+    x2 = 2.0 * x
+    c0, c1 = np.full(x.shape, c[-2]), np.full(x.shape, c[-1])
+    spare = np.empty_like(c0)
+    for k in range(c.size - 3, -1, -1):
+        # c0, c1 = c[k] - c1, c0 + c1 x2
+        np.subtract(c[k], c1, out=spare)
+        c1 *= x2
+        c1 += c0
+        c0, spare = spare, c0
+    c1 *= x
+    c1 += c0
+    return c1
+
+
 def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Chebyshev coefficients of an interpolant that agrees with ``f`` on
-    [-1, 1] within QUADRATURE_TOL; evaluate it with ``chebyshev.chebval``.
+    [-1, 1] within QUADRATURE_TOL; evaluate it with :func:`chebyshev_values`.
 
     ``f`` maps an array of points to real or complex values.  The degree
     climbs one doubling ladder from 16 over Chebyshev points of the second
@@ -334,7 +411,7 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         coeffs = _chebyshev_coefficients(values)
         fresh = _chebyshev_points(2 * degree)[1::2]
         exact = np.asarray(f(fresh))
-        gap = np.polynomial.chebyshev.chebval(fresh, coeffs) - exact
+        gap = chebyshev_values(fresh, coeffs) - exact
         if np.all(np.abs(gap.real) <= tol) and np.all(np.abs(gap.imag) <= tol):
             return coeffs
         merged = np.empty(2 * degree + 1, dtype=np.result_type(values, exact))

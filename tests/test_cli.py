@@ -468,6 +468,20 @@ class TestValidate:
         assert cli.run_validation_suite()["passed"] is True
         assert calls == {"integrate_oscillatory": 15, "integrate_real": 1, "axis_eigh": 30}
 
+    def test_suite_takes_one_eigenfunction_table_per_normalization_level(self, monkeypatch):
+        # ten phases share psi_0..psi_8 at each of the ladder's two levels
+        calls = []
+        eigenfunctions = numerics.oscillator_eigenfunctions
+
+        def counted(n_max, x):
+            calls.append((n_max, np.size(x)))
+            return eigenfunctions(n_max, x)
+
+        monkeypatch.setattr(numerics, "oscillator_eigenfunctions", counted)
+        assert cli.run_validation_suite()["passed"] is True
+        assert [n_max for n_max, _ in calls] == [8, 8]
+        assert calls[1][1] == 2 * calls[0][1]
+
     # each check's value from the suite that took one lambda and one phase
     # per call and summed the radial rule node by node; stacking and
     # regrouping those sums moves them by roundoff at most
@@ -564,6 +578,30 @@ class TestErrors:
             raise numerics.QuadratureError((1e22, 3e22), 1e-10)
 
         monkeypatch.setattr(homodyne, "kernel_matrix_element", diverge)
+        # outcomes past the table's half-width Y ~ 32.9 go through the quadrature
+        config = write_config(
+            tmp_path,
+            "export.json",
+            {
+                "target": {"type": "matrix-element", "n": 80, "l": 20},
+                "grid": {"min": 40.0, "max": 41.0, "points": 2},
+                "output_path": str(tmp_path / "kernel.csv"),
+            },
+        )
+        assert cli.main(["kernel-export", "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "quadrature"
+        assert "did not converge" in err["error"]["message"]
+        assert not (tmp_path / "kernel.csv").exists()
+
+    # a panel ladder that cannot climb, and a degree ladder that stops at its start
+    @pytest.mark.parametrize(
+        "cap, value, message",
+        [("_MAX_PANELS", 64, "did not converge"), ("_CHEBYSHEV_MAX_DEGREE", 8, "no Chebyshev")],
+        ids=["panels", "degree"],
+    )
+    def test_a_failed_table_build_exits_2(self, tmp_path, capsys, monkeypatch, cap, value, message):
+        monkeypatch.setattr(numerics, cap, value)
         config = write_config(
             tmp_path,
             "export.json",
@@ -574,9 +612,11 @@ class TestErrors:
             },
         )
         assert cli.main(["kernel-export", "--config", config]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == "quadrature"
-        assert "did not converge" in err["error"]["message"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "quadrature"
+        assert message in err["message"]
         assert not (tmp_path / "kernel.csv").exists()
 
     def test_non_finite_record_names_its_line(self, tmp_path, capsys):
@@ -1207,6 +1247,36 @@ class TestImports:
         assert code == 0
         assert "qtomo.numerics" in modules
         assert "numpy.ma" not in modules
+
+    def test_homodyne_modes_load_no_numpy_polynomial(self, tmp_path, vacuum_state_path):
+        if run_python(tmp_path, "import numpy, sys; print('numpy.polynomial' in sys.modules)") == "True\n":
+            pytest.skip("a bare numpy import loads numpy.polynomial here")
+        run = {
+            "seed": 2,
+            "count": 100,
+            "state_path": vacuum_state_path,
+            "records_path": str(tmp_path / "records.jsonl"),
+            "output_path": str(tmp_path / "out"),
+        }
+        runs = [
+            ("simulate-homodyne", run),
+            ("reconstruct", {**run, "target": {"type": "matrix-element", "n": 0, "l": 1}}),
+            ("reconstruct", {**run, "target": {"type": "photon-number"}}),
+            (
+                "kernel-export",
+                {
+                    "target": {"type": "matrix-element", "n": 1, "l": 1},
+                    "grid": {"min": -1.0, "max": 1.0, "points": 3},
+                    "output_path": str(tmp_path / "kernel.csv"),
+                },
+            ),
+        ]
+        for i, (mode, cfg) in enumerate(runs):
+            config = write_config(tmp_path, f"run_{i}.json", cfg)
+            code, modules = modules_after_main(tmp_path, [mode, "--config", config])
+            assert code == 0
+            assert "qtomo.numerics" in modules
+            assert "numpy.polynomial" not in modules, (mode, cfg.get("target"))
 
     def test_package_loads_submodules_on_first_use(self, tmp_path):
         script = (

@@ -100,6 +100,15 @@ class TestQuadratureDensity:
             got = homodyne.quadrature_density_grid(rho, phi, y)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_phase_rows_equal_one_call_per_phase(self):
+        rho = random_state(np.random.default_rng(5), 8)
+        phis = np.array([0.0, 0.7, 2.9, 6.1])
+        y = np.linspace(-5.0, 5.0, 41)
+        rows = homodyne.quadrature_density_grid(rho, phis, y)
+        assert rows.shape == (phis.size, y.size)
+        for phi, row in zip(phis.tolist(), rows):
+            assert row.tobytes() == homodyne.quadrature_density_grid(rho, phi, y).tobytes()
+
     def test_single_photon_node_at_origin(self):
         rho = homodyne.number_state(1, 8)
         assert homodyne.quadrature_density(rho, 0.7, 0.0) == 0.0
@@ -534,6 +543,17 @@ class TestKernelTable:
         values = homodyne.kernel_matrix_element(base_n, base_l, ys)
         return values if l >= 0 else values.conj()
 
+    @pytest.mark.parametrize(
+        "n, l", [(0, 0), (5, 0), (2, 1), (20, 10), (50, 50), (80, 20), (0, 200), (200, 0), (150, 50)]
+    )
+    def test_fixed_rule_table_matches_the_quadrature_on_601_outcomes(self, n, l):
+        kernel = homodyne.MatrixElementKernel(n, l)
+        ys = np.linspace(-kernel._y_max, kernel._y_max, 601)
+        got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
+        want = homodyne.kernel_matrix_element(n, l, ys)
+        assert np.max(np.abs(got.real - want.real)) <= numerics.QUADRATURE_TOL
+        assert np.max(np.abs(got.imag - want.imag)) <= numerics.QUADRATURE_TOL
+
     @pytest.mark.parametrize("n, l", KERNELS)
     def test_matches_the_quadrature_within_tol(self, n, l):
         kernel = homodyne.MatrixElementKernel(n, l)
@@ -596,6 +616,19 @@ class TestKernelTable:
             tracemalloc.stop()
         assert kernel._table is not None
         assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("n, l", [(80, 20), (0, 200)])
+    def test_traced_peak_of_a_degree_2048_build_stays_below_1_mib(self, n, l):
+        # the adaptive ladder at every degree level peaked at 2.74 and 4.23 MiB
+        kernel = homodyne.MatrixElementKernel(n, l)
+        tracemalloc.start()
+        try:
+            kernel.evaluate(homodyne.homodyne_records([0.0], [0.5]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel._table.size == 2049
+        assert peak <= 2**20
 
     def test_huge_outcome_fails_fast(self):
         kernel = homodyne.MatrixElementKernel(0, 0)

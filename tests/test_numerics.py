@@ -263,6 +263,62 @@ class TestIntegrateOscillatory:
         assert max(sizes) == 16 * 2**17
 
 
+class TestGaussLegendreTable:
+    def test_literal_rule_is_leggauss_16_within_two_ulp(self):
+        # exact on the host the table was taken from; two ulp allow for other LAPACK builds
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for got, want in ((numerics._GL_NODES, nodes), (numerics._GL_WEIGHTS, weights)):
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+        assert np.array_equal(numerics._GL_NODES, -numerics._GL_NODES[::-1])
+        assert np.array_equal(numerics._GL_WEIGHTS, numerics._GL_WEIGHTS[::-1])
+
+
+class TestFixedOscillatoryRule:
+    def test_matches_the_closed_form_at_every_frequency_up_to_the_hardest(self):
+        # int_0^c e^{i f t} dt = (e^{i f c} - 1) / (i f), and c at f = 0
+        cutoff = 16.5
+        freqs = np.concatenate((np.linspace(-cutoff, cutoff, 301), [0.0]))
+        got = numerics.fixed_oscillatory_rule(np.ones_like, cutoff, cutoff)(freqs)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.where(freqs == 0.0, cutoff, (np.exp(1j * freqs * cutoff) - 1.0) / (1j * freqs))
+        assert np.max(np.abs(got - want)) <= numerics.QUADRATURE_TOL
+
+    def test_values_match_the_adaptive_ladder(self):
+        g = lambda t: t * t * np.exp(-t * t / 4.0) * np.cos(0.3 * t)
+        freqs = np.array([-20.0, -3.7, 0.0, 1.0, 12.5, 20.0])
+        got = numerics.fixed_oscillatory_rule(g, 20.0, 20.0)(freqs)
+        want = numerics.integrate_oscillatory(g, freqs, 20.0)
+        assert np.max(np.abs(got - want)) <= numerics.QUADRATURE_TOL
+
+    def test_weights_the_integrand_once_per_level_and_never_again(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(t.size)
+            return np.exp(-t)
+
+        integral = numerics.fixed_oscillatory_rule(g, 16.5, 16.5)
+        # the ladder starts at 1/8 of the oscillatory count, 256 panels here
+        assert sizes == [16 * 32, 16 * 64]
+        integral(np.linspace(-16.5, 16.5, 999))
+        assert len(sizes) == 2
+
+
+class TestChebyshevValues:
+    @pytest.mark.parametrize("length", [1, 2, 3, 257])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_bit_identical_to_chebval(self, length, kind):
+        rng = np.random.default_rng(length)
+        coeffs = rng.normal(size=length).astype(kind)
+        if kind is complex:
+            coeffs += 1j * rng.normal(size=length)
+        x = np.concatenate((rng.uniform(-1.0, 1.0, 200), [-1.0, -0.0, 0.0, 1.0]))
+        want = np.polynomial.chebyshev.chebval(x, coeffs)
+        got = numerics.chebyshev_values(x, coeffs)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestChebyshevFit:
     def test_fits_a_smooth_complex_function_without_repeating_points(self, monkeypatch):
         monkeypatch.setattr(numerics, "QUADRATURE_TOL", 1e-12)
@@ -303,6 +359,7 @@ class TestNoToleranceArguments:
             (numerics.integrate_real, ["f", "a", "b"]),
             (numerics.integrate_oscillatory, ["g", "frequency", "cutoff"]),
             (numerics.chebyshev_fit, ["f"]),
+            (numerics.fixed_oscillatory_rule, ["g", "max_frequency", "cutoff"]),
             (homodyne.kernel_matrix_element, ["n", "l", "y"]),
         ],
         ids=lambda v: getattr(v, "__name__", ""),
