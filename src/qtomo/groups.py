@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureError, panel_rule, sphere_rule
-from .spin import axis_eigh
+from .numerics import QuadratureError, panel_rule
+from .spin import axis_eigh, sphere_rule
 
 __all__ = [
     "su2_formal_degree",
@@ -77,8 +77,10 @@ def su2_exponential(t: float, axis) -> np.ndarray:
     return math.cos(t / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(t / 2.0) * n_sigma
 
 
-# sphere nodes per block of the Haar oracle's chart points
-_NODE_BLOCK = 256
+# entries per block of chart points or of matrix coefficients, so a block
+# holds 64 KiB of complex values, or one sphere node when a node holds more
+_CHART_BLOCK = 2**12
+
 
 def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
     """Chart integrals ``level(axes, sphere_w, t, t_w)`` on each level's rule,
@@ -104,31 +106,29 @@ def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
     raise QuadratureError(estimates, tol, f"{what} {k}: {message}" if what else None)
 
 
-def _radial_sums(f, n_sigma: np.ndarray, t: np.ndarray, t_w: np.ndarray) -> np.ndarray:
-    """f at the chart points cos(t/2) I + i sin(t/2) (n . sigma) of a block of
-    sphere nodes, node-major, summed over the radial rule at each node."""
-    stack = 1j * np.sin(t / 2.0)[:, None, None] * n_sigma[:, None]
-    stack += np.cos(t / 2.0)[:, None, None] * np.eye(2)
-    stack = stack.reshape(-1, 2, 2)
-    values = np.asarray(f(stack), dtype=complex)
-    if values.shape == ():
-        values = np.broadcast_to(values, (len(stack),))
-    elif values.shape != (len(stack),):
-        raise ValueError(
-            f"integrand returned shape {values.shape} for a stack of {len(stack)} "
-            "matrices; it must return one value per matrix or a scalar"
-        )
-    return values.reshape(len(n_sigma), -1) @ t_w
-
-
 def _haar_level(f: Callable[[np.ndarray], np.ndarray], axes, sphere_w, t, t_w) -> complex:
-    n_sigma = np.tensordot(axes, _SIGMA, axes=1)
-    radial = np.concatenate(
-        [
-            _radial_sums(f, n_sigma[lo : lo + _NODE_BLOCK], t, t_w)
-            for lo in range(0, len(axes), _NODE_BLOCK)
-        ]
-    )
+    """f at the chart points cos(t/2) I + i sin(t/2) (n . sigma), summed over
+    the radial rule at each sphere node n and then over the nodes; the points
+    are formed in place, one block of nodes at a time, node-major."""
+    identity_part = np.cos(t / 2.0)[:, None, None] * np.eye(2)
+    sigma_part = 1j * np.sin(t / 2.0)[:, None, None]
+    rows = max(1, _CHART_BLOCK // (4 * t.size))
+    points = np.empty((min(rows, len(axes)), t.size, 2, 2), dtype=complex)
+    radial = np.empty(len(axes), dtype=complex)
+    for lo in range(0, len(axes), rows):
+        n_sigma = np.tensordot(axes[lo : lo + rows], _SIGMA, axes=1)
+        stack = np.multiply(sigma_part, n_sigma[:, None], out=points[: len(n_sigma)])
+        stack += identity_part
+        stack = stack.reshape(-1, 2, 2)
+        values = np.asarray(f(stack), dtype=complex)
+        if values.shape == ():
+            values = np.broadcast_to(values, (len(stack),))
+        elif values.shape != (len(stack),):
+            raise ValueError(
+                f"integrand returned shape {values.shape} for a stack of {len(stack)} "
+                "matrices; it must return one value per matrix or a scalar"
+            )
+        radial[lo : lo + len(n_sigma)] = values.reshape(len(n_sigma), -1) @ t_w
     # accumulated one node at a time in node order, as the pointwise rule sums
     return 4.0 * math.pi * complex(np.cumsum(sphere_w * radial)[-1])
 
@@ -147,19 +147,20 @@ def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray]) -> complex:
     return complex(_chart_ladder(partial(_haar_level, f), relative=False)[0])
 
 
-def _coefficients(two_j: int, axes: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(vectors: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
     """c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m, the
-    conjugate of the same product for (u2, v2), with W the eigenbasis of J_n
-    at each axis; one row per (quadruple, node)."""
+    conjugate of the same product for (u2, v2), with W = ``vectors[i]`` the
+    eigenbasis of J_n at each node i of a block; one row per (quadruple, node)."""
     u1, u2, v1, v2 = quads
+    dim = vectors.shape[1]
     # W side by side for every node, (n, node * m), so each product is one matmul
-    w = axis_eigh(two_j, axes)[1].transpose(1, 0, 2).reshape(two_j + 1, -1)
+    w = vectors.transpose(1, 0, 2).reshape(dim, -1)
     w_conj = w.conj()
     c1 = u1.conj() @ w
     c1 *= v1 @ w_conj
     c2 = u2 @ w_conj
     c2 *= v2.conj() @ w
-    return c1.reshape(-1, two_j + 1), c2.reshape(-1, two_j + 1)
+    return c1.reshape(-1, dim), c2.reshape(-1, dim)
 
 
 def _ortho_level(two_j: int, quads, axes, sphere_w, t, t_w) -> np.ndarray:
@@ -169,10 +170,16 @@ def _ortho_level(two_j: int, quads, axes, sphere_w, t, t_w) -> np.ndarray:
     # the radial sum of the product for (u1, v1) and the conjugate for (u2, v2)
     # is c1 R c2 at each (quadruple, node) row, R[m, m'] = sum_t w_t e^{i t (m - m')}
     radial_matrix = (phases * t_w) @ phases.conj().T
-    c1, c2 = _coefficients(two_j, axes, quads)
-    radial = c1 @ radial_matrix
-    radial *= c2
-    return 4.0 * math.pi * (radial.sum(axis=1).reshape(-1, len(axes)) @ sphere_w)
+    vectors = axis_eigh(two_j, axes)[1]
+    count = len(quads[0])
+    rows = max(1, _CHART_BLOCK // (count * (two_j + 1)))
+    radial = np.empty((count, len(axes)), dtype=complex)
+    for lo in range(0, len(axes), rows):
+        c1, c2 = _coefficients(vectors[lo : lo + rows], quads)
+        products = c1 @ radial_matrix
+        products *= c2
+        radial[:, lo : lo + rows] = products.sum(axis=1).reshape(count, -1)
+    return 4.0 * math.pi * (radial @ sphere_w)
 
 
 def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:

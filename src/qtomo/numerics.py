@@ -24,7 +24,6 @@ __all__ = [
     "integrate_oscillatory",
     "fixed_oscillatory_rule",
     "panel_rule",
-    "sphere_rule",
     "real_spherical_harmonics",
     "chebyshev_fit",
     "chebyshev_values",
@@ -249,11 +248,13 @@ def integrate_oscillatory(
     """Integral of e^{i frequency t} g(t) over [0, cutoff].
 
     ``frequency`` is a scalar (complex result) or a 1-d array (one complex
-    value per frequency).  The initial panel count resolves the oscillation
-    of the phase factor; frequencies are grouped by it, and every group
-    climbs the same doubling ladder as :func:`integrate_real`, with the real
-    and imaginary parts of each member required to settle within
-    QUADRATURE_TOL.  A group doubles until all of its members settle, so a
+    value per frequency).  If ``g`` returns k rows of values, shape (k,
+    nodes), the result has a leading axis of k rows, one per integrand, and
+    the rows climb each ladder together.  The initial panel count resolves
+    the oscillation of the phase factor; frequencies are grouped by it, and
+    every group climbs the same doubling ladder as :func:`integrate_real`,
+    with the real and imaginary parts of each member required to settle
+    within QUADRATURE_TOL.  A group doubles until all of its members settle, so a
     value from an array call can differ, within that tolerance, from the
     value of a one-at-a-time call.  ``g`` is evaluated once per panel count
     and call, and the phase is factored per panel, e^{i f t} = e^{i f mid}
@@ -285,40 +286,47 @@ def integrate_oscillatory(
             rules[n_panels] = _phase_rule(g, cutoff, n_panels)
         return rules[n_panels]
 
-    out = np.empty(flat.size, dtype=complex)
+    out = None
     # not np.unique, which imports numpy.ma on numpy 2
     for p in sorted(set(counts.tolist())):
         sel = np.nonzero(counts == p)[0]
         group = flat[sel]
-        out[sel], _ = _refine(lambda n_panels: _phase_sum(group, *rule(n_panels)), int(p))
-    return out if freqs.ndim else complex(out[0])
+        value, _ = _refine(lambda n_panels: _phase_sum(group, *rule(n_panels)), int(p))
+        if out is None:
+            out = np.empty(value.shape[:-1] + flat.shape, dtype=complex)
+        out[..., sel] = value
+    out = out.reshape(out.shape[:-1] + freqs.shape)
+    return out if out.ndim else complex(out)
 
 
 def _phase_rule(g, cutoff: float, n_panels: int):
     """Panel midpoints, node offsets within a panel and the weighted values
-    of ``g``, shape (16, n_panels), of the panel rule on [0, cutoff]."""
+    of ``g``, shape (..., 16, n_panels), of the panel rule on [0, cutoff]."""
     nodes, weights = panel_rule(0.0, cutoff, n_panels)
     width = cutoff / n_panels
-    weighted = (weights * g(nodes)).reshape(n_panels, _GL_ORDER).T
+    values = weights * g(nodes)
+    weighted = values.reshape(values.shape[:-1] + (n_panels, _GL_ORDER)).swapaxes(-1, -2)
     return (np.arange(n_panels) + 0.5) * width, 0.5 * width * _GL_NODES, weighted.astype(complex)
 
 
 def _phase_sum(freqs: np.ndarray, mids: np.ndarray, offsets: np.ndarray, weighted: np.ndarray):
     """The rule of :func:`_phase_rule` applied to e^{i f t} g(t), one value
-    per frequency f of a 1-d array.  The phase is factored per panel, e^{i f
-    t} = e^{i f mid} e^{i f (t - mid)}, and the (frequencies x panels) phase
-    matrix is formed in blocks of _PHASE_BLOCK entries."""
-    rows = max(1, _PHASE_BLOCK // mids.size)
-    out = np.empty(freqs.size, dtype=complex)
+    per frequency f of a 1-d array, and per row of g if it has rows.  The
+    phase is factored per panel, e^{i f t} = e^{i f mid} e^{i f (t - mid)},
+    and the (rows x frequencies x panels) terms are formed in blocks of
+    _PHASE_BLOCK entries."""
+    lead = weighted.shape[:-2]
+    rows = max(1, _PHASE_BLOCK // (mids.size * math.prod(lead)))
+    out = np.empty(lead + (freqs.size,), dtype=complex)
     for start in range(0, freqs.size, rows):
         block = freqs[start : start + rows]
-        # in place, and freed before the next block's, so at most two phase
-        # matrices are held at a time
+        # in place, and freed before the next block's, so at most two blocks
+        # of terms are held at a time
         phase = 1j * np.outer(block, mids)
         np.exp(phase, out=phase)
-        phase *= np.exp(1j * np.outer(block, offsets)) @ weighted
-        out[start : start + rows] = phase.sum(axis=1)
-        del phase
+        terms = np.exp(1j * np.outer(block, offsets)) @ weighted
+        out[..., start : start + rows] = np.multiply(phase, terms, out=terms).sum(axis=-1)
+        del phase, terms
     return out
 
 
@@ -422,21 +430,6 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         tol,
         f"no Chebyshev interpolant of degree <= {_CHEBYSHEV_MAX_DEGREE} agrees within {tol:.1e}",
     )
-
-
-def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axes (r, 3) and weights of a rule for the normalized dOmega.
-
-    Gauss-Legendre in cos(theta) at ``order`` nodes times ``2 order``
-    equally spaced azimuths; the weights sum to 1, and the rule is exact for
-    polynomials in the axis of degree <= 2 order - 1.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    az = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
-    cos_t, az = (g.ravel() for g in np.meshgrid(nodes, az, indexing="ij"))
-    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
-    axes = np.stack([sin_t * np.cos(az), sin_t * np.sin(az), cos_t], axis=1)
-    return axes, np.repeat(weights, 2 * order) / (4.0 * order)
 
 
 def real_spherical_harmonics(degree: int, axes: np.ndarray) -> np.ndarray:

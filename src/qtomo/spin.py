@@ -40,6 +40,7 @@ __all__ = [
     "save_spin_state",
     "load_spin_state",
     "maximally_mixed",
+    "sphere_rule",
 ]
 
 AXIS_NORM_TOL = 1e-12
@@ -54,6 +55,9 @@ SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 _SAMPLE_CHUNK = 8192
 # entries of one block of harmonic values, so a block stays a few MB at any j
 _BASIS_BLOCK = 2**19
+# Newton steps of the Gauss-Legendre node search: from the asymptotic start
+# every order from 1 to 3000 settles within four, and the fifth polishes
+_NEWTON_STEPS = 5
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,6 +199,53 @@ def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndar
     return _normalized(_diagonals(rho.matrix, vectors).real)
 
 
+def _legendre_and_derivative(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_order and its derivative at points ``x`` inside (-1, 1), by the
+    three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for n in range(2, order + 1):
+        prev, cur = cur, ((2 * n - 1) * x * cur - (n - 1) * prev) / n
+    return cur, order * (x * cur - prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights of the ``order``-point Gauss-Legendre rule
+    on [-1, 1], by Newton's method on the Legendre recurrence from Tricomi's
+    asymptotic start, symmetrized; numpy only, with no eigensolver."""
+    x = -np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        value, slope = _legendre_and_derivative(order, x)
+        x -= value / slope
+    _, slope = _legendre_and_derivative(order, x)
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    return 0.5 * (x - x[::-1]), 0.5 * (weights + weights[::-1])
+
+
+# a few orders are in use at a time (two_j + 1 and the chart ladder's), and
+# order 96 alone holds 0.6 MB
+@functools.lru_cache(maxsize=8)
+def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes (r, 3) and weights of a rule for the normalized dOmega.
+
+    Gauss-Legendre in cos(theta) at ``order`` nodes (see
+    :func:`_gauss_legendre`) times ``2 order`` equally spaced azimuths; the
+    weights sum to 1, and the rule is exact for polynomials in the axis of
+    degree <= 2 order - 1.  Both arrays are read-only and cached per order,
+    so a repeat call returns the same ones.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    nodes, weights = _gauss_legendre(order)
+    az = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
+    cos_t, az = (g.ravel() for g in np.meshgrid(nodes, az, indexing="ij"))
+    sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
+    axes = np.stack([sin_t * np.cos(az), sin_t * np.sin(az), cos_t], axis=1)
+    w = np.repeat(weights, 2 * order) / (4.0 * order)
+    axes.setflags(write=False)
+    w.setflags(write=False)
+    return axes, w
+
+
 def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     """Real coefficients of the diagonal a_m(n) of a Hermitian ``matrix`` in
     the J_n eigenbasis on the real spherical harmonics L <= 2j, one column
@@ -208,7 +259,7 @@ def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     memory stays bounded at any j; up to two_j = 21 all nodes fit in one.
     """
     two_j = matrix.shape[0] - 1
-    axes, w = numerics.sphere_rule(two_j + 1)
+    axes, w = sphere_rule(two_j + 1)
     step = max(1, _BASIS_BLOCK // (two_j + 1) ** 2)
 
     def block_sum(block):
@@ -287,21 +338,29 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
 
 
 def _axis_expectations(a_matrix: np.ndarray, two_j: int, axis) -> np.ndarray:
-    axis = _check_axis(axis)
-    _, vectors = axis_eigh(two_j, axis[None, :])
+    """The diagonal a_m of A in the J_n eigenbasis, one row per axis, for a
+    unit ``axis`` (3,) or a stack of them (k, 3), from one :func:`axis_eigh`."""
+    axes = np.asarray(axis, dtype=float)
+    if axes.ndim == 2:
+        axes = np.array([_check_axis(n) for n in axes])
+    else:
+        axes = _check_axis(axes)[None, :]
+    _, vectors = axis_eigh(two_j, axes)
     return _diagonals(a_matrix, vectors)
 
 
 def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda) -> complex | np.ndarray:
     """Closed-form estimator value for an arbitrary (possibly non-Hermitian)
     operator: one complex for an int ``two_lambda``, one per element for a
-    1-d array of them."""
+    1-d array of them, with a leading axis of k rows for a stack of k axes."""
     a_matrix = np.asarray(a_matrix, dtype=complex)
     two_j = a_matrix.shape[0] - 1
     check_two_m(two_j, two_lambda)
-    sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))[0]
-    values = sigma[(np.asarray(two_lambda) + two_j) // 2]
-    return values if np.ndim(two_lambda) else complex(values)
+    sigma = _sigma_table(_axis_expectations(a_matrix, two_j, axis))
+    values = sigma[:, (np.asarray(two_lambda) + two_j) // 2]
+    if np.ndim(axis) == 1:
+        values = values[0]
+    return values if values.ndim else complex(values)
 
 
 def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda) -> float | np.ndarray:
@@ -313,7 +372,8 @@ def kernel_spin_closed(a_matrix: np.ndarray, axis, two_lambda) -> float | np.nda
     :func:`axis_eigh`, so it is the oracle of :class:`SpinOperatorKernel`'s
     harmonic table, and :func:`kernel_spin_numeric` is its quadrature oracle.
     An int ``two_lambda`` gives a float; a 1-d array of them gives one value
-    per element, from one eigendecomposition.
+    per element, from one eigendecomposition.  A stack of k unit axes, shape
+    (k, 3), gives a leading axis of k rows, from one :func:`axis_eigh` call.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     return kernel_spin_closed_general(a_matrix, axis, two_lambda).real
@@ -326,12 +386,16 @@ def kernel_spin_numeric(a_matrix: np.ndarray, axis, two_lambda) -> float | np.nd
     a full period to the QUADRATURE_TOL of :func:`numerics.integrate_oscillatory`
     and checks that the imaginary residue is below 1e-9 before discarding it.
     An int ``two_lambda`` gives a float; a 1-d array of them gives one value
-    per element, all from one array call of the integrator.
+    per element, all from one array call of the integrator.  A stack of k
+    unit axes, shape (k, 3), gives a leading axis of k rows, still from one
+    call, whose integrand has one row per axis.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = a_matrix.shape[0] - 1
     check_two_m(two_j, two_lambda)
-    a_diag = _axis_expectations(a_matrix, two_j, axis)[0]
+    a_diag = _axis_expectations(a_matrix, two_j, axis)
+    if np.ndim(axis) == 1:
+        a_diag = a_diag[0]
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
 
     def g(t):
@@ -357,7 +421,7 @@ def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
     two_j = rho.two_j
     if a_matrix.shape != (two_j + 1, two_j + 1):
         raise ValueError("operator dimension does not match the state")
-    axes, w = numerics.sphere_rule(two_j + 1)
+    axes, w = sphere_rule(two_j + 1)
     _, vectors = axis_eigh(two_j, axes)
     probs = _probabilities_stack(rho, vectors)
     sigma = _sigma_table(_diagonals(a_matrix, vectors).real)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtomo import cli, groups, numerics
+from qtomo import cli, groups, numerics, spin
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,13 +68,25 @@ class TestHaarIntegral:
         value = groups.haar_integral_su2(lambda g: abs((g @ v) @ u.conj()) ** 2)
         assert value.real == pytest.approx(8.0 * math.pi**2, rel=1e-6)
 
+    def test_traced_peak_stays_small(self):
+        # the chart points are formed in blocks of _CHART_BLOCK entries
+        tracemalloc.start()
+        try:
+            assert groups.haar_integral_su2(lambda g: 1.0).real == pytest.approx(
+                groups.SU2_HAAR_VOLUME, rel=1e-12
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 2**20
+
     def test_level_matches_pointwise_reference(self):
         # the per-point loop the stacked level replaced, summed in the same
         # node order; only the radial summation order differs
         # f takes one chart point or a stack of them
         u = np.array([0.6, 0.8j])
         f = lambda g: ((g @ u) @ u.conj()) * g[..., 1, 0] + np.trace(g, axis1=-2, axis2=-1) ** 2
-        axes, sphere_w = numerics.sphere_rule(16)
+        axes, sphere_w = spin.sphere_rule(16)
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = 0.0 + 0.0j
@@ -89,7 +101,7 @@ class TestHaarIntegral:
         # the levels `validate` takes: nodes accumulate one at a time in node
         # order, so the chart volume keeps its digits; a pairwise sum over the
         # nodes moves it by 2e-15 and 1.5e-14 relative
-        axes, sphere_w = numerics.sphere_rule(sphere_order)
+        axes, sphere_w = spin.sphere_rule(sphere_order)
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, radial_panels)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = 0.0 + 0.0j
@@ -225,7 +237,7 @@ class TestStackedOrthogonality:
         rng = np.random.default_rng(400 + two_j)
         vecs = rng.normal(size=(4, 3, two_j + 1)) + 1j * rng.normal(size=(4, 3, two_j + 1))
         quads = list(vecs / np.linalg.norm(vecs, axis=2, keepdims=True))
-        axes, sphere_w = numerics.sphere_rule(16)
+        axes, sphere_w = spin.sphere_rule(16)
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = ortho_level_per_radial_node(two_j, quads, axes, sphere_w, t, t_w)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtomo import groups, homodyne, numerics
+from qtomo import groups, homodyne, numerics, spin
 
 def laguerre_series(n, l, x):
     """Independent explicit-series oracle: sum_k (-1)^k C(n+l, n-k) x^k / k!."""
@@ -185,6 +185,26 @@ class TestIntegrateOscillatory:
             want = reference_oscillatory(g, float(freq), 20.0)
             assert abs(value - want) <= 1e-12
             assert abs(numerics.integrate_oscillatory(g, float(freq), 20.0) - want) <= 1e-12
+
+    def test_rows_match_one_call_per_row(self):
+        # rows of an integrand share each frequency group's ladder; a row that
+        # settles at the same level as alone keeps every bit
+        envelopes = [0.25, 1.0, 4.0]
+        g = lambda s, t: t * t * np.exp(-t * t / s) * np.cos(0.3 * t)
+        stacked = lambda t: np.stack([g(s, t) for s in envelopes])
+        freqs = np.array([0.0, 1.0, -3.7, 25.0, 40.0])
+        rows = numerics.integrate_oscillatory(stacked, freqs, 20.0)
+        assert rows.shape == (len(envelopes), freqs.size)
+        first = numerics.integrate_oscillatory(stacked, 1.0, 20.0)
+        assert first.shape == (len(envelopes),)
+        for s, row, one in zip(envelopes, rows, first):
+            single = numerics.integrate_oscillatory(lambda t: g(s, t), freqs, 20.0)
+            assert np.all(np.abs(row - single) <= numerics.QUADRATURE_TOL)
+            assert one == row[1]
+        assert np.array_equal(
+            numerics.integrate_oscillatory(lambda t: g(1.0, t)[None, :], freqs, 20.0)[0],
+            numerics.integrate_oscillatory(lambda t: g(1.0, t), freqs, 20.0),
+        )
 
     def test_array_refinement_cap_reports_estimates(self, monkeypatch):
         monkeypatch.setattr(numerics, "QUADRATURE_TOL", 0.0)
@@ -402,14 +422,14 @@ class TestRealSphericalHarmonics:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 20, 40])
     def test_orthonormal_under_the_rule_of_order_degree_plus_one(self, degree):
-        axes, w = numerics.sphere_rule(degree + 1)
+        axes, w = spin.sphere_rule(degree + 1)
         basis = numerics.real_spherical_harmonics(degree, axes)
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(basis.shape[0]))) <= 1e-12
 
     @pytest.mark.parametrize("degree", [1, 2, 8])
     def test_one_order_lower_is_not_exact(self, degree):
-        axes, w = numerics.sphere_rule(degree)
+        axes, w = spin.sphere_rule(degree)
         basis = numerics.real_spherical_harmonics(degree, axes)
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(basis.shape[0]))) >= 0.5

@@ -342,6 +342,32 @@ class TestKernels:
             assert abs(closed[k] - one_closed) <= numerics.QUADRATURE_TOL
             assert abs(numeric[k] - one_numeric) <= numerics.QUADRATURE_TOL
 
+    @pytest.mark.parametrize("two_j", [1, 2, 3])
+    def test_stack_of_axes_matches_one_call_per_axis(self, two_j, monkeypatch):
+        rng = np.random.default_rng(320 + two_j)
+        a_matrix = random_hermitian(rng, two_j + 1)
+        axes = random_axes(rng, 5)
+        two_lambdas = np.arange(-two_j, two_j + 1, 2)
+        calls = []
+        eigh = spin.axis_eigh
+        monkeypatch.setattr(spin, "axis_eigh", lambda *args: calls.append(1) or eigh(*args))
+        closed = spin.kernel_spin_closed(a_matrix, axes, two_lambdas)
+        numeric = spin.kernel_spin_numeric(a_matrix, axes, two_lambdas)
+        assert calls == [1, 1]
+        assert closed.shape == numeric.shape == (5, two_j + 1)
+        assert spin.kernel_spin_closed(a_matrix, axes, two_lambdas[0]).shape == (5,)
+        assert spin.kernel_spin_numeric(a_matrix, axes, two_lambdas[0]).shape == (5,)
+        for axis, closed_row, numeric_row in zip(axes, closed, numeric):
+            assert np.array_equal(closed_row, spin.kernel_spin_closed(a_matrix, axis, two_lambdas))
+            one = spin.kernel_spin_numeric(a_matrix, axis, two_lambdas)
+            assert np.all(np.abs(numeric_row - one) <= numerics.QUADRATURE_TOL)
+
+    def test_stack_of_axes_rejects_a_non_unit_axis(self):
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        for oracle in (spin.kernel_spin_closed, spin.kernel_spin_numeric):
+            with pytest.raises(ValueError, match="unit"):
+                oracle(np.eye(2), axes, 1)
+
     @pytest.mark.parametrize("oracle", [spin.kernel_spin_closed, spin.kernel_spin_numeric])
     def test_array_of_lambdas_rejects_any_invalid_element(self, oracle):
         jz = spin.spin_matrices(2)[2]
@@ -363,6 +389,34 @@ class TestKernels:
                 chart = degree * 4.0 * math.pi * 4.0 * math.sin(t / 2.0) ** 2
                 kernel = (two_j + 1) / math.pi * math.sin(t / 2.0) ** 2
                 assert chart == pytest.approx(kernel, rel=1e-12)
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("order", range(1, 97))
+    def test_gauss_legendre_matches_leggauss(self, order):
+        # numpy.polynomial is the oracle here only; two ulp of 1, the scale of
+        # [-1, 1], allow for the rounding of either rule
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = spin._gauss_legendre(order)
+        assert np.all(np.abs(nodes - want_nodes) <= 2.0 * np.spacing(1.0))
+        assert np.all(np.abs(weights - want_weights) <= 2e-14)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+
+    def test_repeat_call_returns_the_same_read_only_arrays(self):
+        axes, w = spin.sphere_rule(5)
+        again = spin.sphere_rule(5)
+        assert again[0] is axes and again[1] is w
+        assert axes.shape == (50, 3) and w.shape == (50,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        for array in (axes, w):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_rejects_order_below_one(self):
+        with pytest.raises(ValueError, match="order"):
+            spin.sphere_rule(0)
 
 
 class TestExactReconstruction:
