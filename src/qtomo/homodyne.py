@@ -58,7 +58,6 @@ CDF_TOL = 1e-4
 
 _BASE_INTERVALS = 2048
 _SAMPLE_CHUNK = 8192
-_MAX_GRID_DOUBLINGS = 4
 
 # one quorum draw: phase phi in [0, 2 pi) and outcome y of Y_phi
 HOMODYNE_DTYPE = np.dtype([("phi", np.float64), ("y", np.float64)])
@@ -187,80 +186,73 @@ def quadrature_density_x(rho: FockDensityMatrix, phi: float, x: float) -> float:
 class _CdfSampler:
     """Per-state tables for inverse-CDF sampling of omega(phi, .).
 
-    The density's phi dependence enters only through e^{i k phi} harmonics,
-    so the cumulative Simpson masses are tabulated per harmonic once: the CDF
-    at edge i is B_i + sum_k cos(k phi) C_ki + sin(k phi) S_ki, over only the
-    k whose C or S column is nonzero (a number state keeps B alone).  One grid
-    level serves every record of the state.  It is the coarsest level at
-    which the Simpson-trapezoid gap, bounded over all phi, stays below
-    CDF_TOL; each record then bisects its CDF in O(k log M).  Rows are pure
-    per record, which keeps streams identical under any sharding.
+    omega = S_0 + 2 Re sum_{k>=1} e^{i s k phi} S_k, S_k = sum_n rho[n, n+k]
+    psi_n psi_{n+k}, so the CDF at edge i is B_i + sum_k cos(k phi) C_ki +
+    sin(k phi) S_ki, over only the k whose coherences have a nonzero real or
+    imaginary part (a number state keeps B alone).  Every entry is exact, by
+    the Hermite Wronskian with psi_n' = sqrt(2n) psi_{n-1} - y psi_n:
+    int_{-inf}^y psi_n psi_{n+k} = (psi_n' psi_{n+k} - psi_n psi_{n+k}') / 2k
+    for k >= 1, and I_n = I_{n-1} - psi_n psi_{n-1} / sqrt(2n) from I_0 =
+    (1 + erf y) / 2 on the diagonal.  Linear interpolation between edges is
+    the only error left.  Its measure is the midpoint gap F(mid) - (F(left)
+    + F(right)) / 2 of an interval, in magnitude summed over the columns so
+    that it bounds every phi; the grid doubles from 2048 intervals while its
+    largest value exceeds CDF_TOL.  That ends without a cap: the gap is h^2 /
+    8 times F'' inside the interval, so for any state (|rho_mn| <= 1) it is
+    at most h^2 times a function of n_max alone.  Each record then bisects
+    its CDF in O(k log M); rows are pure per record, so streams are
+    identical under any sharding.
     """
 
     def __init__(self, rho: FockDensityMatrix):
-        n_intervals = _BASE_INTERVALS
-        bound = self._build(rho, n_intervals)
-        for _ in range(_MAX_GRID_DOUBLINGS):
-            if bound <= CDF_TOL:
-                break
-            # the Simpson-trapezoid gap falls by ~4x per grid doubling, so
-            # the next level is predicted from the measured bound
-            n_intervals *= 2 ** max(1, math.ceil(math.log(bound / CDF_TOL, 4.0)))
-            bound = self._build(rho, n_intervals)
-        if bound > CDF_TOL:
-            raise numerics.QuadratureError(("cdf refinement", n_intervals), CDF_TOL)
-        self.n_intervals = n_intervals
+        self.n_intervals = _BASE_INTERVALS
+        while self._build(rho) > CDF_TOL:
+            self.n_intervals *= 2
 
-    def _build(self, rho: FockDensityMatrix, n_intervals: int) -> float:
-        """Tabulate the cumulative masses at ``n_intervals``; return the error bound."""
-        k_max = rho.n_max
-        y_max = default_y_max(rho.n_max)
-        fine = np.linspace(-y_max, y_max, 2 * n_intervals + 1)
-        h = fine[1] - fine[0]
-        psi = numerics.oscillator_eigenfunctions(rho.n_max, fine)
-        # omega = S_0 + 2 Re sum_{k>=1} e^{i s k phi} S_k; the row (1, cos, sin)
-        # of a record against a table row gives its CDF at that edge
-        masses = np.zeros((2 * k_max + 1, n_intervals))
-        bound = 0.0
-        for k in range(k_max + 1):
-            diag = np.diagonal(rho.matrix, offset=k)
-            nz = np.nonzero(diag)[0]
-            if nz.size == 0:
-                continue
-            s_k = np.einsum("n,ny,ny->y", diag[nz], psi[nz], psi[nz + k])
-            simpson = (h / 3.0) * (s_k[0:-2:2] + 4.0 * s_k[1:-1:2] + s_k[2::2])
-            gap = np.abs(simpson - h * (s_k[0:-2:2] + s_k[2::2])).sum()
-            if k == 0:
-                masses[0] = simpson.real
-                bound += gap
-            else:
-                masses[k] = 2.0 * simpson.real
-                masses[k_max + k] = -2.0 * PHASE_SIGN * simpson.imag
-                bound += 2.0 * gap
-        del psi  # free the eigenfunctions before the cumulative copy is made
-        # only the harmonics the state has: a zero row adds nothing to a CDF
-        ks = np.arange(1, k_max + 1)
-        cos_k = ks[masses[1 : k_max + 1].any(axis=1)]
-        sin_k = ks[masses[k_max + 1 :].any(axis=1)]
-        self.tables = np.cumsum(masses[np.concatenate(([0], cos_k, k_max + sin_k))].T, axis=0)
-        self.cos_k, self.sin_k = cos_k.astype(float), sin_k.astype(float)
+    def _build(self, rho: FockDensityMatrix) -> float:
+        """Tabulate the cumulative masses at ``n_intervals``; return the
+        largest midpoint gap summed over the columns."""
+        n, y_max = rho.n_max, default_y_max(rho.n_max)
+        fine = np.linspace(-y_max, y_max, 2 * self.n_intervals + 1)
+        psi = numerics.oscillator_eigenfunctions(n, fine)
+        root = np.sqrt(2.0 * np.arange(n + 1))
+        # per k, the weights of cos(k phi) and sin(k phi) in the Wronskian sum
+        weights, kept = {}, np.zeros((2, n + 1), dtype=bool)
+        for k in range(1, n + 1):
+            coherence = rho.matrix.diagonal(k)
+            weights[k] = np.stack((coherence.real, -PHASE_SIGN * coherence.imag)) / k
+            kept[:, k] = weights[k].any(axis=1)
+        self.cos_k, self.sin_k = (np.flatnonzero(row).astype(float) for row in kept)
+        column = np.cumsum(kept).reshape(kept.shape)  # after B, the cos columns, then the sin
         self.edges = fine[::2]
-        # worst case over phi of the summed Simpson-trapezoid gap
-        return float(bound)
+        self.tables = np.empty((self.n_intervals, 1 + column[-1, -1]))
+
+        def columns():
+            # sum_n rho_nn I_n with the I_n recurrence unrolled: tail[j] = sum_{n>=j} rho_nn
+            tail = np.cumsum(rho.matrix.diagonal().real[::-1])[::-1]
+            erf = np.fromiter(map(math.erf, fine.tolist()), float, fine.size)
+            lowered = np.einsum("n,ny,ny->y", tail[1:] / root[1:], psi[1:], psi[:-1])
+            yield 0, 0.5 * tail[0] * (1.0 + erf) - lowered
+            for k in np.flatnonzero(kept.any(axis=0)).tolist():
+                w = weights[k]
+                mass = np.einsum(
+                    "cn,ny,ny->cy", w[:, 1:] * root[1 : n - k + 1], psi[: n - k], psi[k + 1 :]
+                ) - np.einsum("cn,ny,ny->cy", w * root[k:], psi[: n - k + 1], psi[k - 1 : n])
+                yield from ((column[p, k], mass[p]) for p in np.flatnonzero(kept[:, k]))
+
+        gap = np.zeros(self.n_intervals)
+        for c, values in columns():
+            self.tables[:, c] = values[2::2]
+            gap += np.abs(values[1::2] - 0.5 * (values[:-2:2] + values[2::2]))
+        return float(gap.max())
 
     def _cdf(self, coeff: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.einsum("rk,rk->r", coeff, self.tables[idx])
 
     def sample(self, phis: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Linear-interpolation inverse CDF, one uniform per row."""
-        coeff = np.concatenate(
-            (
-                np.ones((phis.size, 1)),
-                np.cos(np.outer(phis, self.cos_k)),
-                np.sin(np.outer(phis, self.sin_k)),
-            ),
-            axis=1,
-        )
+        coeff = np.hstack((np.ones((phis.size, 1)), np.cos(np.outer(phis, self.cos_k)),
+                           np.sin(np.outer(phis, self.sin_k))))
         last = self.n_intervals - 1
         total = self._cdf(coeff, np.full(phis.size, last))
         if np.any(total < 0.5) or np.any(total > 1.5):
@@ -285,10 +277,10 @@ class _CdfSampler:
 def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` records: phi uniform on [0, 2 pi), y by inverse CDF.
 
-    The CDF grid keeps its estimated error below 1e-4 for every record: one
-    grid level is chosen per state, from the worst case over phi, doubling
-    the base grid as often as the state needs.  Record i is a pure function
-    of (seed, i).
+    The CDF tables are exact at every edge (see :class:`_CdfSampler`); one
+    grid serves every record of the state, the coarsest whose midpoint
+    interpolation gap, summed over the harmonics, stays within CDF_TOL for
+    every phi.  Record i is a pure function of (seed, i).
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -53,11 +53,8 @@ MAX_TWO_J = 60
 SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
 _SAMPLE_CHUNK = 8192
-# entries of one block of harmonic values, so a block stays a few MB at any j
+# entries of one block of eigenbases or harmonic values, a few MB at any j
 _BASIS_BLOCK = 2**19
-# Newton steps of the Gauss-Legendre node search: from the asymptotic start
-# every order from 1 to 3000 settles within four, and the fifth polishes
-_NEWTON_STEPS = 5
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,28 +196,6 @@ def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndar
     return _normalized(_diagonals(rho.matrix, vectors).real)
 
 
-def _legendre_and_derivative(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_order and its derivative at points ``x`` inside (-1, 1), by the
-    three-term recurrence."""
-    prev, cur = np.ones_like(x), x
-    for n in range(2, order + 1):
-        prev, cur = cur, ((2 * n - 1) * x * cur - (n - 1) * prev) / n
-    return cur, order * (x * cur - prev) / (x * x - 1.0)
-
-
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes, ascending, and weights of the ``order``-point Gauss-Legendre rule
-    on [-1, 1], by Newton's method on the Legendre recurrence from Tricomi's
-    asymptotic start, symmetrized; numpy only, with no eigensolver."""
-    x = -np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5))
-    for _ in range(_NEWTON_STEPS):
-        value, slope = _legendre_and_derivative(order, x)
-        x -= value / slope
-    _, slope = _legendre_and_derivative(order, x)
-    weights = 2.0 / ((1.0 - x * x) * slope * slope)
-    return 0.5 * (x - x[::-1]), 0.5 * (weights + weights[::-1])
-
-
 # a few orders are in use at a time (two_j + 1 and the chart ladder's), and
 # order 96 alone holds 0.6 MB
 @functools.lru_cache(maxsize=8)
@@ -228,14 +203,14 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes (r, 3) and weights of a rule for the normalized dOmega.
 
     Gauss-Legendre in cos(theta) at ``order`` nodes (see
-    :func:`_gauss_legendre`) times ``2 order`` equally spaced azimuths; the
-    weights sum to 1, and the rule is exact for polynomials in the axis of
-    degree <= 2 order - 1.  Both arrays are read-only and cached per order,
+    :func:`numerics._gauss_legendre`) times ``2 order`` equally spaced
+    azimuths; the weights sum to 1, and the rule is exact for polynomials in
+    the axis of degree <= 2 order - 1.  Both arrays are read-only and cached per order,
     so a repeat call returns the same ones.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = _gauss_legendre(order)
+    nodes, weights = numerics._gauss_legendre(order)
     az = 2.0 * np.pi * np.arange(2 * order) / (2 * order)
     cos_t, az = (g.ravel() for g in np.meshgrid(nodes, az, indexing="ij"))
     sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
@@ -246,6 +221,22 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return axes, w
 
 
+def _node_sum(two_j: int, term) -> np.ndarray:
+    """The sum of ``term(axes, w, vectors)`` over blocks of the nodes of the
+    sphere rule of order 2j + 1, with ``w`` their weights and ``vectors``
+    their :func:`axis_eigh` eigenbases.  A block's eigenbases hold at most
+    ``_BASIS_BLOCK`` entries, so memory stays bounded at any j; up to two_j =
+    21 all nodes fit in one."""
+    axes, w = sphere_rule(two_j + 1)
+    step = max(1, _BASIS_BLOCK // (two_j + 1) ** 2)
+
+    def block_sum(start):
+        block = slice(start, start + step)
+        return term(axes[block], w[block], axis_eigh(two_j, axes[block])[1])
+
+    return functools.reduce(np.add, map(block_sum, range(0, len(w), step)))
+
+
 def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     """Real coefficients of the diagonal a_m(n) of a Hermitian ``matrix`` in
     the J_n eigenbasis on the real spherical harmonics L <= 2j, one column
@@ -254,21 +245,15 @@ def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     Each a_m(n) is a polynomial of degree <= 2j in the axis, so its
     harmonic series stops at L = 2j, and the rule of order 2j + 1, exact up
     to degree 4j, makes the projection a plain weighted sum of
-    :func:`axis_eigh` values at its nodes.  The sum runs over blocks of
-    nodes whose harmonic values hold at most ``_BASIS_BLOCK`` entries, so
-    memory stays bounded at any j; up to two_j = 21 all nodes fit in one.
+    :func:`axis_eigh` values at its nodes, taken block by block by
+    :func:`_node_sum`.
     """
     two_j = matrix.shape[0] - 1
-    axes, w = sphere_rule(two_j + 1)
-    step = max(1, _BASIS_BLOCK // (two_j + 1) ** 2)
-
-    def block_sum(block):
-        _, vectors = axis_eigh(two_j, axes[block])
-        basis = numerics.real_spherical_harmonics(two_j, axes[block])
-        return basis @ (w[block, None] * _diagonals(matrix, vectors).real)
-
-    blocks = (slice(i, i + step) for i in range(0, len(w), step))
-    return functools.reduce(np.add, map(block_sum, blocks))
+    return _node_sum(
+        two_j,
+        lambda axes, w, vectors: numerics.real_spherical_harmonics(two_j, axes)
+        @ (w[:, None] * _diagonals(matrix, vectors).real),
+    )
 
 
 def _table_values(table: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -415,17 +400,20 @@ def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
     Sums the closed-form kernel against the outcome probabilities on the
     sphere rule of order 2j + 1.  The integrand is a polynomial of degree
     <= 4j in the axis and the rule is exact up to degree 4j + 1, so the sum
-    is exact to roundoff at every j.
+    is exact to roundoff at every j.  The eigenbases are taken in the
+    blocks of :func:`_node_sum`, so memory stays bounded at any j.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = rho.two_j
     if a_matrix.shape != (two_j + 1, two_j + 1):
         raise ValueError("operator dimension does not match the state")
-    axes, w = sphere_rule(two_j + 1)
-    _, vectors = axis_eigh(two_j, axes)
-    probs = _probabilities_stack(rho, vectors)
-    sigma = _sigma_table(_diagonals(a_matrix, vectors).real)
-    return float(np.sum(w * np.sum(probs * sigma, axis=1)))
+
+    def term(axes, w, vectors):
+        probs = _probabilities_stack(rho, vectors)
+        sigma = _sigma_table(_diagonals(a_matrix, vectors).real)
+        return np.sum(w * np.sum(probs * sigma, axis=1))
+
+    return float(_node_sum(two_j, term))
 
 
 class SpinOperatorKernel:

@@ -307,14 +307,16 @@ class TestSamplerOracle:
     }
 
     @staticmethod
-    def simpson_rows(rho, phis, n_intervals):
+    def reference_masses(rho, phis, n_intervals):
+        """The mass of each interval of the sampler's grid at ``n_intervals``,
+        one row per phase, by the 16-point Gauss-Legendre rule on every
+        interval, from the spectral density: no Wronskian and no shared
+        table code."""
         y_max = homodyne.default_y_max(rho.n_max)
-        nodes = np.linspace(-y_max, y_max, 2 * n_intervals + 1)
+        nodes, weights = numerics.panel_rule(-y_max, y_max, n_intervals)
         dens = spectral_density_rows(rho, phis, nodes)
-        h = nodes[1] - nodes[0]
-        simpson = (h / 3.0) * (dens[:, 0:-2:2] + 4.0 * dens[:, 1:-1:2] + dens[:, 2::2])
-        trapz = h * (dens[:, 0:-2:2] + dens[:, 2::2])
-        return nodes[::2], simpson, trapz
+        mass = (weights * dens).reshape(len(phis), n_intervals, -1).sum(axis=2)
+        return np.linspace(-y_max, y_max, n_intervals + 1), mass
 
     @pytest.mark.parametrize("name", sorted(STATES))
     def test_bisection_matches_dense_inversion(self, name):
@@ -325,7 +327,7 @@ class TestSamplerOracle:
         phis = 2.0 * np.pi * u[:, 0]
         assert records["phi"].tolist() == phis.tolist()
         level = homodyne._CdfSampler(rho).n_intervals
-        edges, mass, _ = self.simpson_rows(rho, phis, level)
+        edges, mass = self.reference_masses(rho, phis, level)
         y_dense = dense_inverse_cdf(mass, u[:, 1], edges)
         cdf = np.concatenate(
             (np.zeros((rows, 1)), np.cumsum(mass, axis=1) / mass.sum(axis=1)[:, None]),
@@ -352,13 +354,62 @@ class TestSamplerOracle:
         assert sampler.sin_k.tolist() == sin_k
         assert sampler.tables.shape == (sampler.n_intervals, 1 + len(cos_k) + len(sin_k))
 
+    PHASES = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_tables_match_the_reference_at_every_edge(self, name):
+        rho = self.STATES[name]()
+        sampler = homodyne._CdfSampler(rho)
+        phis = self.PHASES
+        coeff = np.concatenate(
+            (
+                np.ones((phis.size, 1)),
+                np.cos(np.outer(phis, sampler.cos_k)),
+                np.sin(np.outer(phis, sampler.sin_k)),
+            ),
+            axis=1,
+        )
+        edges, mass = self.reference_masses(rho, phis, sampler.n_intervals)
+        assert np.array_equal(sampler.edges, edges)
+        gap = coeff @ sampler.tables.T - np.cumsum(mass, axis=1)
+        assert np.abs(gap).max() <= 1e-12
+
     @pytest.mark.parametrize("name", sorted(STATES))
     def test_chosen_level_meets_cdf_tolerance(self, name):
+        # the linear CDF between edges against the reference at each midpoint
         rho = self.STATES[name]()
         level = homodyne._CdfSampler(rho).n_intervals
-        phis = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
-        _, simpson, trapz = self.simpson_rows(rho, phis, level)
-        assert np.abs(simpson - trapz).sum(axis=1).max() <= homodyne.CDF_TOL
+        _, halves = self.reference_masses(rho, self.PHASES, 2 * level)
+        cdf = np.cumsum(np.concatenate((np.zeros((self.PHASES.size, 1)), halves), axis=1), axis=1)
+        midpoint_gap = cdf[:, 1::2] - 0.5 * (cdf[:, :-1:2] + cdf[:, 2::2])
+        assert np.abs(midpoint_gap).max() <= homodyne.CDF_TOL
+
+    def test_dense_state_settles_at_a_small_level(self):
+        # a random pure state on |0..39>: the Simpson tables took 32768
+        # intervals and 84 MiB traced
+        rng = np.random.default_rng(40)
+        amp = np.zeros(41, dtype=complex)
+        amp[:40] = rng.normal(size=40) + 1j * rng.normal(size=40)
+        amp /= np.linalg.norm(amp)
+        rho = homodyne.FockDensityMatrix(40, np.outer(amp, amp.conj()))
+        tracemalloc.start()
+        try:
+            sampler = homodyne._CdfSampler(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.n_intervals <= 4096
+        assert peak <= 32 * 2**20
+
+    def test_traced_peak_of_a_number_state_run_stays_small(self):
+        # 2.71 MiB on the Simpson tables at 4096 intervals
+        tracemalloc.start()
+        try:
+            homodyne.sample_homodyne(homodyne.number_state(5, 16), 10_000, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.71 * 2**20
 
     def test_spectral_density_matches_library_density(self):
         for make in self.STATES.values():

@@ -284,11 +284,15 @@ class TestIntegrateOscillatory:
 
 
 class TestGaussLegendreTable:
-    def test_literal_rule_is_leggauss_16_within_two_ulp(self):
-        # exact on the host the table was taken from; two ulp allow for other LAPACK builds
+    def test_panel_rule_is_the_newton_rule_and_leggauss_16_within_two_ulp_of_one(self):
+        # two ulp of 1, the scale of [-1, 1]: the Newton weights differ from
+        # leggauss's by up to 3.2e-16 here
+        nodes, weights = numerics._gauss_legendre(16)
+        assert np.array_equal(nodes, numerics._GL_NODES)
+        assert np.array_equal(weights, numerics._GL_WEIGHTS)
         nodes, weights = np.polynomial.legendre.leggauss(16)
         for got, want in ((numerics._GL_NODES, nodes), (numerics._GL_WEIGHTS, weights)):
-            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(1.0))
         assert np.array_equal(numerics._GL_NODES, -numerics._GL_NODES[::-1])
         assert np.array_equal(numerics._GL_WEIGHTS, numerics._GL_WEIGHTS[::-1])
 
