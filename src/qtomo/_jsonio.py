@@ -5,8 +5,10 @@ Every float written by the package round-trips bit-faithfully through its
 text form, so record and result files are stable artifacts.
 
 The record codec formats and parses a large file in contiguous shards, one
-per core this process may run on, each but the first in a forked child; the
-bytes written and the values read do not depend on the shard count.
+per core this process may run on, each but the first in a forked child that
+hands its bytes back through an anonymous memory file (one shard where
+``os.memfd_create`` is missing); the bytes written and the values read do
+not depend on the shard count.
 """
 
 from __future__ import annotations
@@ -145,10 +147,9 @@ def write_jsonl(path, template: str, columns) -> None:
     Each ``%.17g`` placeholder takes the next float column and each ``%d`` the
     next integer column; every float reads as :func:`format_float` writes it.
     A non-finite float raises format_float's ValueError after the rows before
-    it are written.  The rows before it are cut into contiguous shards: the
-    parent formats the first straight into ``path``, a child each other one
-    into an unlinked file beside it, which the parent then appends in order;
-    the parent formats the shard of a child that failed itself.
+    it are written.  The rows before it are cut into contiguous shards that
+    :func:`_in_shards` formats, the first straight into ``path``; the file
+    is written as ASCII bytes, so a line ends in ``\\n`` on every platform.
     """
     float_columns = [column for column in columns if column.dtype.kind == "f"]
     finite = np.logical_and.reduce([np.isfinite(column) for column in float_columns])
@@ -156,30 +157,16 @@ def write_jsonl(path, template: str, columns) -> None:
     shards = _shard_count(stop)
     bounds = [stop * i // shards for i in range(shards + 1)]
 
-    def write(fh, shard):
+    def write(shard, out) -> bool:
         end = bounds[shard + 1]
         for start in range(bounds[shard], end, _BLOCK_LINES):
             chunk = [column[start : min(start + _BLOCK_LINES, end)] for column in columns]
             floats = np.column_stack([column for column in chunk if column.dtype.kind == "f"])
-            fh.write(_format_lines(template, chunk, floats))
+            out(_format_lines(template, chunk, floats).encode("ascii"))
+        return True
 
-    def child(shard, fd):
-        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
-            write(fh, shard)
-
-    with open(path, "w", encoding="utf-8") as fh, _Children() as children:
-        files = {}
-        for shard in range(1, shards):
-            fd = _unlinked_file(path, shard)
-            if fd is not None:
-                files[shard] = children.close_on_exit(fd)
-                children.fork(shard, functools.partial(child, shard, fd))
-        write(fh, 0)
-        for shard in range(1, shards):
-            if children.join(shard) == 0:
-                _append(fh, files[shard])
-            else:
-                write(fh, shard)
+    with open(path, "wb") as fh:
+        _in_shards(shards, write, fh.write)
     if stop < len(finite):
         for column in float_columns:
             format_float(column[stop])
@@ -203,8 +190,9 @@ def _format_lines(template: str, columns, floats: np.ndarray) -> str:
 
 
 def _cores() -> int:
-    """The cores this process may run on; 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """The cores this process may run on; 1 where it cannot fork a child
+    that hands its shard back through an anonymous memory file."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -213,78 +201,65 @@ def _shard_count(rows: int) -> int:
     return max(1, min(_cores(), rows // _MIN_SHARD_ROWS))
 
 
-class _Children:
-    """The forked children of one sharded read or write, by shard, and the
-    descriptors that carry their output.  On leaving the ``with`` block, by
-    return, error or interrupt, every child not yet joined is killed and
-    reaped, and then the descriptors are closed."""
+def _in_shards(shards: int, work, sink) -> bool:
+    """Run ``work(shard, out)`` for every shard in ``range(shards)`` so that
+    ``sink`` receives the bytes each hands to ``out``, in shard order; False
+    once ``work`` returns False in this process.
 
-    def __init__(self):
-        self._pids = {}
-        self._fds = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for pid in self._pids.values():
+    ``work`` does text work only and hands over its bytes as it makes them.
+    The parent runs shard 0 straight into ``sink``.  Each other shard runs
+    in a forked child that writes to an anonymous memory file and exits 0
+    if ``work`` returns True, 1 otherwise; after joining the children in
+    order, the parent appends each file to ``sink`` in blocks of
+    ``_BLOCK_BYTES``, and it runs the shard itself if the child failed or
+    could not be forked.  On leaving, by return, error or interrupt, every
+    child not yet joined is killed and reaped and every file is closed.
+    """
+    children, files = {}, {}
+    try:
+        for shard in range(1, shards):
+            try:
+                files[shard] = os.memfd_create(f"qtomo-shard-{shard}")
+                with warnings.catch_warnings():
+                    # Python 3.12 warns of fork in a process with threads,
+                    # here those of the BLAS pool; a child runs no BLAS
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    with open(files[shard], "wb", closefd=False) as out:
+                        ok = work(shard, out.write)
+                    code = 0 if ok else 1
+                finally:
+                    os._exit(code)
+            children[shard] = pid
+        if not work(0, sink):
+            return False
+        for shard in range(1, shards):
+            code = 1
+            if shard in children:
+                _, status = os.waitpid(children[shard], 0)
+                del children[shard]
+                code = os.waitstatus_to_exitcode(status)
+            if code == 0:
+                offset = 0
+                while block := os.pread(files[shard], _BLOCK_BYTES, offset):
+                    sink(block)
+                    offset += len(block)
+            elif not work(shard, sink):
+                return False
+            if shard in files:
+                os.close(files.pop(shard))
+        return True
+    finally:
+        for pid in children.values():
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-        self._pids.clear()
-        for fd in self._fds:
+        for fd in files.values():
             os.close(fd)
-
-    def close_on_exit(self, fd: int) -> int:
-        self._fds.append(fd)
-        return fd
-
-    def fork(self, shard: int, work) -> None:
-        """Run ``work()``, text work only, in a child that leaves by
-        ``os._exit`` with the code ``work`` returns, 0 for None and 1 if it
-        raises; if the fork fails the shard has no child."""
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns of fork in a process with threads, here
-                # those of the BLAS pool; the child runs no BLAS and no thread
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            return
-        if pid == 0:
-            code = 1
-            try:
-                code = work() or 0
-            finally:
-                os._exit(code)
-        self._pids[shard] = pid
-
-    def join(self, shard: int) -> int:
-        """The exit code of the shard's child, 1 if it has none."""
-        if shard not in self._pids:
-            return 1
-        _, status = os.waitpid(self._pids[shard], 0)
-        del self._pids[shard]
-        return os.waitstatus_to_exitcode(status)
-
-
-def _unlinked_file(path, shard: int) -> int | None:
-    """A read-write descriptor of a new file in ``path``'s directory, whose
-    name is gone once it is open; None if it cannot be made."""
-    name = f"{os.fspath(path)}.{os.getpid()}.{shard}.tmp"
-    try:
-        fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-    except OSError:
-        return None
-    os.unlink(name)
-    return fd
-
-
-def _append(fh, fd: int) -> None:
-    """Append every byte of the file ``fd`` to the text file ``fh``."""
-    fh.flush()
-    os.lseek(fd, 0, os.SEEK_SET)
-    while chunk := os.read(fd, _BLOCK_BYTES):
-        fh.buffer.write(chunk)
 
 
 def read_jsonl(path, row, build, regex, lines: list | None = None):
@@ -316,50 +291,26 @@ def _read_canonical(path, regex) -> np.ndarray | None:
     if a line does not match (a blank line, CRLF, another key order or
     spacing), the file has no final newline or a value is not finite.
 
-    The file is cut into byte ranges that end at a newline: the parent
-    parses the first, a child each other one, whose values come back through
-    a pipe and are appended in order; the parent parses the range of a child
-    that failed itself.  A file that is not a regular file, such as a pipe,
-    cannot be read at an offset and gives None unread.
+    The file is cut into byte ranges that end at a newline, which
+    :func:`_in_shards` parses; each parsed block's doubles are appended to
+    the array as they come.  A file that is not a regular file, such as a
+    pipe, cannot be read at an offset and gives None unread.
     """
     values = array("d")
-    with open(path, "rb") as fh, _Children() as children:
+    with open(path, "rb") as fh:
         fd = fh.fileno()
         status = os.fstat(fd)
         if not stat.S_ISREG(status.st_mode):
             return None
         bounds = _line_bounds(fh, status.st_size)
-        pipes = {}
 
-        def parse(shard, into) -> bool:
-            return _parse_range(fd, regex, bounds[shard], bounds[shard + 1], into)
+        def parse(shard, out) -> bool:
+            return _parse_range(fd, regex, bounds[shard], bounds[shard + 1], out)
 
-        def child(shard, out):
-            own = array("d")
-            # a range that is not canonical fails the child, and the
-            # parent's own parse of it then gives None
-            if not parse(shard, own):
-                return 1
-            with open(out, "wb") as sink:
-                sink.write(own)
-
-        for shard in range(1, len(bounds) - 1):
-            pipe, out = os.pipe()
-            pipes[shard] = children.close_on_exit(pipe)
-            children.fork(shard, functools.partial(child, shard, out))
-            os.close(out)
-        if not parse(0, values):
+        # a range that is not canonical fails its child, and the parent's
+        # own parse of it then gives None
+        if not _in_shards(len(bounds) - 1, parse, values.frombytes):
             return None
-        for shard in range(1, len(bounds) - 1):
-            mark = len(values)
-            with open(pipes[shard], "rb", closefd=False) as source:
-                # whole blocks until the last, short only if the child failed
-                while chunk := source.read(_BLOCK_BYTES):
-                    values.frombytes(chunk[: len(chunk) - len(chunk) % values.itemsize])
-            if children.join(shard) != 0:
-                del values[mark:]
-                if not parse(shard, values):
-                    return None
     values = np.frombuffer(values, dtype=float)
     return values if np.isfinite(values).all() else None
 
@@ -377,10 +328,11 @@ def _line_bounds(fh, size: int) -> list[int]:
     return bounds + [size]
 
 
-def _parse_range(fd, regex, start: int, stop: int, values) -> bool:
-    """Extend ``values`` by ``regex``'s groups over the lines of the bytes
-    ``start:stop`` of ``fd``, read in blocks cut after their last newline;
-    False if a line does not match or the range does not end in a newline."""
+def _parse_range(fd, regex, start: int, stop: int, out) -> bool:
+    """Hand ``out`` the doubles of ``regex``'s groups over the lines of the
+    bytes ``start:stop`` of ``fd``, read in blocks cut after their last
+    newline, as the bytes of one array per block; False if a line does not
+    match or the range does not end in a newline."""
     rest = b""
     while start < stop:
         data = os.pread(fd, min(_BLOCK_BYTES, stop - start), start)
@@ -396,7 +348,7 @@ def _parse_range(fd, regex, start: int, stop: int, values) -> bool:
         if len(rows) != block.count(b"\n"):
             return False
         # float() of the token text, the call json makes for a fraction
-        values.extend(map(float, chain.from_iterable(rows)))
+        out(array("d", map(float, chain.from_iterable(rows))).tobytes())
     return not rest
 
 

@@ -375,6 +375,9 @@ def _run_validate(cfg: dict) -> int:
 
 _SIMULATE = ("state_path", "count", "seed", "records_path")
 
+# mode -> the field that sizes its arrays, named when they cannot be allocated
+_SIZES = {"simulate-homodyne": "count", "simulate-spin": "count", "kernel-export": "points"}
+
 # mode -> (runner, the fields it requires, the other fields it reads with
 # their defaults); each field a mode reads that has a flag gives it that flag
 _MODES = {
@@ -420,6 +423,11 @@ def main(argv=None) -> int:
         return _fail("quadrature", str(exc))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return _fail("config", f"{type(exc).__name__}: {exc}")
+    except MemoryError:
+        if args.mode not in _SIZES:
+            raise
+        field = _SIZES[args.mode]
+        return _fail("config", f"field {field!r} is too large: its arrays cannot be allocated")
 
 
 if __name__ == "__main__":

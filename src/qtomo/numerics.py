@@ -6,6 +6,7 @@ state, so all routines are safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -180,8 +181,14 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x - x[::-1]), 0.5 * (weights + weights[::-1])
 
 
-# the rule of every panel of panel_rule
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_ORDER)
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only rule of every panel of :func:`panel_rule`, built on
+    first use, so a run that never integrates skips the Newton search."""
+    nodes, weights = _gauss_legendre(_GL_ORDER)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +197,9 @@ def panel_rule(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarra
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    gl_nodes, gl_weights = _gl_rule()
+    nodes = (mid[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
+    weights = (half[:, None] * gl_weights[None, :]).ravel()
     return nodes, weights
 
 
@@ -322,7 +330,8 @@ def _phase_rule(g, cutoff: float, n_panels: int):
     width = cutoff / n_panels
     values = weights * g(nodes)
     weighted = values.reshape(values.shape[:-1] + (n_panels, _GL_ORDER)).swapaxes(-1, -2)
-    return (np.arange(n_panels) + 0.5) * width, 0.5 * width * _GL_NODES, weighted.astype(complex)
+    offsets = 0.5 * width * _gl_rule()[0]
+    return (np.arange(n_panels) + 0.5) * width, offsets, weighted.astype(complex)
 
 
 def _phase_sum(freqs: np.ndarray, mids: np.ndarray, offsets: np.ndarray, weighted: np.ndarray):

@@ -45,8 +45,9 @@ __all__ = [
 
 AXIS_NORM_TOL = 1e-12
 
-# the largest two_j any path accepts: a harmonic table there takes 2 * 62**2
-# eigh calls, 6.6 s and 73 MB RSS on a 2-core Xeon (23 s at two_j = 80)
+# the largest two_j any path accepts: a harmonic table there takes one eigh
+# call per node of sphere_rule(61), 2 * 61**2 = 7442 in all, 6.6 s and 73 MB
+# RSS on a 2-core Xeon (23 s at two_j = 80)
 MAX_TWO_J = 60
 
 # one record: spin along ``axis`` gave magnetic number two_m / 2

@@ -1129,6 +1129,42 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"code": "file", "message": f"Is a directory: {tmp_path}"}
 
+    @pytest.mark.parametrize(
+        "mode, target",
+        [
+            ("simulate-homodyne", None),
+            ("simulate-spin", None),
+            ("kernel-export", {"type": "photon-number"}),
+            ("kernel-export", {"type": "spin-operator", "name": "Jz", "two_j": 1, "two_lambda": 1}),
+        ],
+        ids=["simulate-homodyne", "simulate-spin", "kernel-export-homodyne", "kernel-export-spin"],
+    )
+    def test_a_size_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, mode, target):
+        # 10**16 records or points take more bytes than a 64-bit address
+        # space holds, so the allocation fails at once and touches no memory
+        state = tmp_path / "state.json"
+        if mode == "simulate-spin":
+            spin.save_spin_state(spin.maximally_mixed(1), state)
+        else:
+            homodyne.save_homodyne_state(homodyne.vacuum_state(4), state)
+        if target is None:
+            field, output = "count", tmp_path / "records.jsonl"
+            payload = dict(seed=1, count=10**16, state_path=str(state), records_path=str(output))
+        else:
+            field, output = "points", tmp_path / "kernel.csv"
+            grid = {"min": -1.0, "max": 1.0, "points": 10**16}
+            payload = dict(target=target, grid=grid, output_path=str(output))
+        config = write_config(tmp_path, "run.json", payload)
+        assert cli.main([mode, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {
+            "code": "config",
+            "message": f"field {field!r} is too large: its arrays cannot be allocated",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "state.json"]
+
 
 def modules_after_main(tmp_path, argv):
     """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the
@@ -1291,6 +1327,27 @@ class TestImports:
             assert code == 0
             assert "qtomo.numerics" in modules
             assert "numpy.polynomial" not in modules, (mode, cfg.get("target"))
+
+    def test_homodyne_runs_that_never_integrate_never_build_the_panel_rule(
+        self, tmp_path, vacuum_state_path
+    ):
+        config = write_config(tmp_path, "run.json", {
+            "seed": 2,
+            "count": 100,
+            "state_path": vacuum_state_path,
+            "records_path": str(tmp_path / "records.jsonl"),
+            "target": {"type": "photon-number"},
+        })
+        script = (
+            "import sys\n"
+            "from qtomo import cli, numerics\n"
+            "builds = []\n"
+            "for mode in ('simulate-homodyne', 'reconstruct'):\n"
+            "    assert cli.main([mode, '--config', sys.argv[1]]) == 0\n"
+            "    builds.append(numerics._gl_rule.cache_info().misses)\n"
+            "print(builds)\n"
+        )
+        assert run_python(tmp_path, script, config).splitlines()[-1] == "[0, 0]"
 
     def test_spin_modes_and_validate_load_no_numpy_polynomial(self, tmp_path, configs):
         if run_python(tmp_path, "import numpy, sys; print('numpy.polynomial' in sys.modules)") == "True\n":

@@ -503,19 +503,26 @@ WRITERS = {"spin": spin.write_spin_records, "homodyne": homodyne.write_homodyne_
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets the core count the codec sees, and lists the children it forks."""
-    forks = []
-    fork = _jsonio._Children.fork
+    """Sets the core count the codec sees, and lists the children it forks,
+    numbered from 1 since then: the codec forks shard k's child k-th.  A
+    child whose number is in ``fail`` exits 1 before any work."""
+    forks, failing = [], set()
+    fork = os.fork
 
-    def counted(self, shard, work):
-        forks.append(shard)
-        return fork(self, shard, work)
+    def counted():
+        forks.append(len(forks) + 1)
+        pid = fork()
+        if pid == 0 and forks[-1] in failing:
+            os._exit(1)
+        return pid
 
-    monkeypatch.setattr(_jsonio._Children, "fork", counted)
+    monkeypatch.setattr(os, "fork", counted)
 
-    def set_cores(count):
+    def set_cores(count, fail=()):
         monkeypatch.setattr(_jsonio, "_cores", lambda: count)
         forks.clear()
+        failing.clear()
+        failing.update(fail)
         return forks
 
     return set_cores
@@ -526,6 +533,19 @@ def assert_clean(directory, names):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+def interrupted_in_parent(original):
+    """``original``, but KeyboardInterrupt in the calling process, so the
+    parent is interrupted in its own shard while its children work."""
+    parent = os.getpid()
+
+    def run(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return original(*args)
+
+    return run
 
 
 class TestShards:
@@ -580,25 +600,22 @@ class TestShards:
         assert written[1] == written[3] == spin_reference(records[:bad])
 
     @pytest.mark.parametrize("kind", ["spin", "homodyne"])
-    def test_a_failed_child_is_redone_by_the_parent(self, tmp_path, cores, monkeypatch, kind):
+    def test_a_failed_child_is_redone_by_the_parent(self, tmp_path, cores, kind):
         records = sharded_batch(kind)
         path = tmp_path / "records.jsonl"
         cores(1)
         WRITERS[kind](records, path)
         expected = path.read_bytes()
-        forks = cores(3)
-        fork = _jsonio._Children.fork
-        # the second child exits 1 before any work
-        monkeypatch.setattr(
-            _jsonio._Children, "fork",
-            lambda self, shard, work: fork(self, shard, (lambda: 1) if shard == 2 else work),
-        )
+        # the second child of the write and of the read exits 1 before any work
+        forks = cores(3, fail={2})
         WRITERS[kind](records, path)
         assert path.read_bytes() == expected
         assert_clean(tmp_path, [path.name])
+        assert forks == [1, 2]
+        forks = cores(3, fail={2})
         assert KINDS[kind][0](path).tobytes() == records.tobytes()
         assert_clean(tmp_path, [path.name])
-        assert forks == [1, 2, 1, 2]
+        assert forks == [1, 2]
 
     def test_a_failed_fork_leaves_the_shard_to_the_parent(self, tmp_path, cores, monkeypatch):
         records = sharded_batch("homodyne")
@@ -618,20 +635,63 @@ class TestShards:
         records = sharded_batch("spin")
         path = tmp_path / "records.jsonl"
         cores(3)
-
-        def interrupted(*args):
-            raise KeyboardInterrupt
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_jsonio, "_append", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                spin.write_spin_records(records, path)
-        assert_clean(tmp_path, [path.name])
         spin.write_spin_records(records, path)
-        monkeypatch.setattr(_jsonio, "_parse_range", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            spin.read_spin_records(path)
-        assert_clean(tmp_path, [path.name])
+        # the read first, as the interrupted write leaves a short file
+        for name, run in (
+            ("_parse_range", lambda: spin.read_spin_records(path)),
+            ("_format_lines", lambda: spin.write_spin_records(records, path)),
+        ):
+            forks = cores(3)
+            with monkeypatch.context() as patch:
+                patch.setattr(_jsonio, name, interrupted_in_parent(getattr(_jsonio, name)))
+                with pytest.raises(KeyboardInterrupt):
+                    run()
+            assert forks == [1, 2]
+            assert_clean(tmp_path, [path.name])
+
+    def test_every_descriptor_is_closed(self, tmp_path, cores, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list the open descriptors")
+        records = sharded_batch("spin")
+        path = tmp_path / "records.jsonl"
+
+        def write():
+            spin.write_spin_records(records, path)
+
+        def read():
+            assert spin.read_spin_records(path).tobytes() == records.tobytes()
+
+        def refuse():
+            raise BlockingIOError("fork refused")
+
+        interrupted_parse = interrupted_in_parent(_jsonio._parse_range)
+        interrupted_format = interrupted_in_parent(_jsonio._format_lines)
+        # (what, run, children that fail, patch); the interrupted read runs
+        # before the interrupted write, which leaves a short file
+        cases = [
+            ("a sharded write", write, (), None),
+            ("a sharded read", read, (), None),
+            ("a failed child", write, {2}, None),
+            ("a failed child", read, {2}, None),
+            ("a refused fork", write, (), (os, "fork", refuse)),
+            ("a refused fork", read, (), (os, "fork", refuse)),
+            ("an interrupt", read, (), (_jsonio, "_parse_range", interrupted_parse)),
+            ("an interrupt", write, (), (_jsonio, "_format_lines", interrupted_format)),
+        ]
+        for what, run, fail, patched in cases:
+            forks = cores(3, fail)
+            before = sorted(os.listdir("/proc/self/fd"))
+            with monkeypatch.context() as patch:
+                if patched is not None:
+                    patch.setattr(*patched)
+                if what == "an interrupt":
+                    with pytest.raises(KeyboardInterrupt):
+                        run()
+                else:
+                    run()
+            assert sorted(os.listdir("/proc/self/fd")) == before, what
+            assert forks == ([] if what == "a refused fork" else [1, 2]), what
+            assert_clean(tmp_path, [path.name])
 
     def test_a_line_longer_than_a_block(self, tmp_path, general_reads):
         path = tmp_path / "records.jsonl"

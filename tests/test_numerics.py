@@ -287,14 +287,19 @@ class TestGaussLegendreTable:
     def test_panel_rule_is_the_newton_rule_and_leggauss_16_within_two_ulp_of_one(self):
         # two ulp of 1, the scale of [-1, 1]: the Newton weights differ from
         # leggauss's by up to 3.2e-16 here
+        gl_nodes, gl_weights = numerics._gl_rule()
         nodes, weights = numerics._gauss_legendre(16)
-        assert np.array_equal(nodes, numerics._GL_NODES)
-        assert np.array_equal(weights, numerics._GL_WEIGHTS)
+        assert np.array_equal(nodes, gl_nodes)
+        assert np.array_equal(weights, gl_weights)
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        for got, want in ((numerics._GL_NODES, nodes), (numerics._GL_WEIGHTS, weights)):
+        for got, want in ((gl_nodes, nodes), (gl_weights, weights)):
             assert np.all(np.abs(got - want) <= 2.0 * np.spacing(1.0))
-        assert np.array_equal(numerics._GL_NODES, -numerics._GL_NODES[::-1])
-        assert np.array_equal(numerics._GL_WEIGHTS, numerics._GL_WEIGHTS[::-1])
+        assert np.array_equal(gl_nodes, -gl_nodes[::-1])
+        assert np.array_equal(gl_weights, gl_weights[::-1])
+
+    def test_rule_is_built_once_and_read_only(self):
+        assert numerics._gl_rule() is numerics._gl_rule()
+        assert not any(a.flags.writeable for a in numerics._gl_rule())
 
 
 class TestFixedOscillatoryRule:
