@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import QuadratureError, panel_rule
-from .spin import axis_eigh, sphere_rule
+from .spin import _node_sum, sphere_rule
 
 __all__ = [
     "su2_formal_degree",
@@ -77,27 +77,27 @@ def su2_exponential(t: float, axis) -> np.ndarray:
     return math.cos(t / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(t / 2.0) * n_sigma
 
 
-# entries per block of chart points or of matrix coefficients, so a block
-# holds 64 KiB of complex values, or one sphere node when a node holds more
+# entries per block of chart points, so a block holds 64 KiB of complex
+# values, or one sphere node when a node holds more
 _CHART_BLOCK = 2**12
 
 
 def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
-    """Chart integrals ``level(axes, sphere_w, t, t_w)`` on each level's rule,
-    ``sphere_rule(order)`` x ``panel_rule`` on [0, 2 pi] with weights times 4
-    sin^2(t/2), until two levels agree within CHART_TOL (times 1 + |value| if
-    ``relative``) in every component; else QuadratureError with the last two
-    estimates of the first that did not, named ``what k`` if ``what`` is given."""
+    """Chart integrals ``level(sphere_order, t, t_w)`` on each level's rule,
+    ``sphere_rule(sphere_order)`` x ``panel_rule`` on [0, 2 pi], weights times
+    4 sin^2(t/2), until two levels agree within CHART_TOL (times 1 + |value|
+    if ``relative``) in every component; else QuadratureError with the last
+    two estimates of the first that did not, named ``what k`` if given."""
     tol = CHART_TOL
     prev = cur = None
     for sphere_order, radial_panels in ((16, 2), (24, 4), (48, 8), (96, 16)):
-        axes, sphere_w = sphere_rule(sphere_order)
         t, t_w = panel_rule(0.0, 2.0 * math.pi, radial_panels)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
-        prev, cur = cur, np.atleast_1d(level(axes, sphere_w, t, t_w))
+        prev, cur = cur, np.atleast_1d(level(sphere_order, t, t_w))
         if prev is not None:
             bound = tol * (1.0 + np.abs(cur)) if relative else tol
-            failed = np.flatnonzero(np.abs(cur - prev) > bound)
+            # written so that a NaN fails too
+            failed = np.flatnonzero(~(np.abs(cur - prev) <= bound))
             if not failed.size:
                 return cur
     k = failed[0]
@@ -106,10 +106,11 @@ def _chart_ladder(level, relative: bool, what: str | None = None) -> np.ndarray:
     raise QuadratureError(estimates, tol, f"{what} {k}: {message}" if what else None)
 
 
-def _haar_level(f: Callable[[np.ndarray], np.ndarray], axes, sphere_w, t, t_w) -> complex:
+def _haar_level(f: Callable[[np.ndarray], np.ndarray], sphere_order, t, t_w) -> complex:
     """f at the chart points cos(t/2) I + i sin(t/2) (n . sigma), summed over
     the radial rule at each sphere node n and then over the nodes; the points
     are formed in place, one block of nodes at a time, node-major."""
+    axes, sphere_w = sphere_rule(sphere_order)
     identity_part = np.cos(t / 2.0)[:, None, None] * np.eye(2)
     sigma_part = 1j * np.sin(t / 2.0)[:, None, None]
     rows = max(1, _CHART_BLOCK // (4 * t.size))
@@ -147,39 +148,28 @@ def haar_integral_su2(f: Callable[[np.ndarray], np.ndarray]) -> complex:
     return complex(_chart_ladder(partial(_haar_level, f), relative=False)[0])
 
 
-def _coefficients(vectors: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
-    """c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m, the
-    conjugate of the same product for (u2, v2), with W = ``vectors[i]`` the
-    eigenbasis of J_n at each node i of a block; one row per (quadruple, node)."""
-    u1, u2, v1, v2 = quads
-    dim = vectors.shape[1]
-    # W side by side for every node, (n, node * m), so each product is one matmul
-    w = vectors.transpose(1, 0, 2).reshape(dim, -1)
-    w_conj = w.conj()
-    c1 = u1.conj() @ w
-    c1 *= v1 @ w_conj
-    c2 = u2 @ w_conj
-    c2 *= v2.conj() @ w
-    return c1.reshape(-1, dim), c2.reshape(-1, dim)
-
-
-def _ortho_level(two_j: int, quads, axes, sphere_w, t, t_w) -> np.ndarray:
+def _ortho_level(two_j: int, quads, sphere_order, t, t_w) -> np.ndarray:
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     phases = np.exp(1j * np.outer(m_values, t))  # (m, t)
     # u^H U v = sum_m conj(W^H u)_m e^{i t m} (W^H v)_m at each chart point, so
     # the radial sum of the product for (u1, v1) and the conjugate for (u2, v2)
     # is c1 R c2 at each (quadruple, node) row, R[m, m'] = sum_t w_t e^{i t (m - m')}
     radial_matrix = (phases * t_w) @ phases.conj().T
-    vectors = axis_eigh(two_j, axes)[1]
-    count = len(quads[0])
-    rows = max(1, _CHART_BLOCK // (count * (two_j + 1)))
-    radial = np.empty((count, len(axes)), dtype=complex)
-    for lo in range(0, len(axes), rows):
-        c1, c2 = _coefficients(vectors[lo : lo + rows], quads)
-        products = c1 @ radial_matrix
-        products *= c2
-        radial[:, lo : lo + rows] = products.sum(axis=1).reshape(count, -1)
-    return 4.0 * math.pi * (radial @ sphere_w)
+    u1, u2, v1, v2 = quads
+
+    def row_sum(axes, sphere_w, vectors):
+        # c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m for
+        # the eigenbasis W of each node, with the nodes' W side by side, (n,
+        # node * m), so each product is one matmul
+        w = vectors.transpose(1, 0, 2).reshape(two_j + 1, -1)
+        w_conj = w.conj()
+        c1 = (u1.conj() @ w) * (v1 @ w_conj)
+        c2 = (u2 @ w_conj) * (v2.conj() @ w)
+        products = c1.reshape(-1, two_j + 1) @ radial_matrix
+        products *= c2.reshape(-1, two_j + 1)
+        return products.sum(axis=1).reshape(len(u1), -1) @ sphere_w
+
+    return 4.0 * math.pi * _node_sum(two_j, sphere_order, row_sum)
 
 
 def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
@@ -191,6 +181,8 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
     climbs the chart ladder of :func:`haar_integral_su2` until two levels
     agree to CHART_TOL relative for every quadruple, as they do at two_j = 16, 20,
     30, 40 and 41; otherwise QuadratureError names the first that did not.
+    Each level takes its eigenbases one theta row at a time from
+    :func:`qtomo.spin._node_sum`, so memory stays bounded at any j.
     """
     dim = two_j + 1
     vecs = [np.asarray(v, dtype=complex) for v in (u1, u2, v1, v2)]

@@ -45,16 +45,16 @@ __all__ = [
 
 AXIS_NORM_TOL = 1e-12
 
-# the largest two_j any path accepts: a harmonic table there takes one eigh
-# call per node of sphere_rule(61), 2 * 61**2 = 7442 in all, 6.6 s and 73 MB
-# RSS on a 2-core Xeon (23 s at two_j = 80)
+# the largest two_j any path accepts: a harmonic table there sums over the 61
+# theta rows of sphere_rule(61) from one eigh of J_y, 2.3 s, and simulate-spin
+# draws 2000 records of a dense state in 4.8 s and 66 MB RSS on a 2-core Xeon
 MAX_TWO_J = 60
 
 # one record: spin along ``axis`` gave magnetic number two_m / 2
 SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
 _SAMPLE_CHUNK = 8192
-# entries of one block of eigenbases or harmonic values, a few MB at any j
+# entries of one block of harmonic values, 4 MB
 _BASIS_BLOCK = 2**19
 
 
@@ -222,20 +222,25 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return axes, w
 
 
-def _node_sum(two_j: int, term) -> np.ndarray:
-    """The sum of ``term(axes, w, vectors)`` over blocks of the nodes of the
-    sphere rule of order 2j + 1, with ``w`` their weights and ``vectors``
-    their :func:`axis_eigh` eigenbases.  A block's eigenbases hold at most
-    ``_BASIS_BLOCK`` entries, so memory stays bounded at any j; up to two_j =
-    21 all nodes fit in one."""
-    axes, w = sphere_rule(two_j + 1)
-    step = max(1, _BASIS_BLOCK // (two_j + 1) ** 2)
+def _node_sum(two_j: int, order: int, term) -> np.ndarray:
+    """The sum of ``term(axes, w, vectors)`` over the theta rows of
+    ``sphere_rule(order)``: a row's 2 order nodes, their weights and their J_n
+    eigenbases, m ascending.  The rule is a product grid, so these are the
+    rotations e^{-i phi J_z} U e^{-i theta mu} U^H |m>, from one
+    :func:`axis_eigh` of J_y = U mu U^H per call; their column phases cancel
+    in every quadratic form.  A row holds 2 order (2j + 1)**2 entries."""
+    axes, w = sphere_rule(order)
+    mu, u = (part[0] for part in axis_eigh(two_j, np.array([[0.0, 1.0, 0.0]])))
+    m_values = -two_j / 2.0 + np.arange(two_j + 1)
 
-    def block_sum(start):
-        block = slice(start, start + step)
-        return term(axes[block], w[block], axis_eigh(two_j, axes[block])[1])
+    def row_sum(start):
+        row = slice(start, start + 2 * order)
+        x, y, z = axes[row].T
+        d = (u * np.exp(-1j * np.arctan2(np.hypot(x[0], y[0]), z[0]) * mu)) @ u.conj().T
+        vectors = np.exp(-1j * np.arctan2(y, x)[:, None, None] * m_values[:, None]) * d
+        return term(axes[row], w[row], vectors)
 
-    return functools.reduce(np.add, map(block_sum, range(0, len(w), step)))
+    return functools.reduce(np.add, map(row_sum, range(0, len(w), 2 * order)))
 
 
 def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
@@ -245,13 +250,13 @@ def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
 
     Each a_m(n) is a polynomial of degree <= 2j in the axis, so its
     harmonic series stops at L = 2j, and the rule of order 2j + 1, exact up
-    to degree 4j, makes the projection a plain weighted sum of
-    :func:`axis_eigh` values at its nodes, taken block by block by
-    :func:`_node_sum`.
+    to degree 4j, makes the projection a plain weighted sum of the values at
+    its nodes, taken theta row by theta row by :func:`_node_sum`.
     """
     two_j = matrix.shape[0] - 1
     return _node_sum(
         two_j,
+        two_j + 1,
         lambda axes, w, vectors: numerics.real_spherical_harmonics(two_j, axes)
         @ (w[:, None] * _diagonals(matrix, vectors).real),
     )
@@ -295,8 +300,8 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` records: axis uniform on the sphere, outcome from p_m.
 
     The state's p_m(n) come from one harmonic table built per call (see
-    :func:`_harmonic_table`), with :func:`axis_eigh` at the rule's nodes as
-    its only eigensolver calls; each record's p_m are then clipped at 0,
+    :func:`_harmonic_table`), with one :func:`axis_eigh` of J_y as its only
+    eigensolver call; each record's p_m are then clipped at 0,
     normalized and drawn by inverse CDF.  Record i is a pure function of
     (seed, i); prefixes of longer runs and shard layouts reproduce
     identical streams.
@@ -401,8 +406,8 @@ def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
     Sums the closed-form kernel against the outcome probabilities on the
     sphere rule of order 2j + 1.  The integrand is a polynomial of degree
     <= 4j in the axis and the rule is exact up to degree 4j + 1, so the sum
-    is exact to roundoff at every j.  The eigenbases are taken in the
-    blocks of :func:`_node_sum`, so memory stays bounded at any j.
+    is exact to roundoff at every j.  The eigenbases are taken one theta row
+    at a time by :func:`_node_sum`, so memory stays bounded at any j.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = rho.two_j
@@ -414,7 +419,7 @@ def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
         sigma = _sigma_table(_diagonals(a_matrix, vectors).real)
         return np.sum(w * np.sum(probs * sigma, axis=1))
 
-    return float(_node_sum(two_j, term))
+    return float(_node_sum(two_j, two_j + 1, term))
 
 
 class SpinOperatorKernel:

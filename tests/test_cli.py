@@ -438,20 +438,30 @@ class TestValidate:
         assert {"haar_volume", "su2_jacobian_identity", "omega_normalization"} <= names
 
     def test_suite_takes_one_eigenbasis_per_orthogonality_level(self, monkeypatch):
+        # one J_y eigenbasis per level, whose rotations give every sphere node's
         calls = []
-        eigh = groups.axis_eigh
+        eigh = spin.axis_eigh
+        residual = groups.orthogonality_residual
 
         def counted(two_j, axes):
             calls.append((two_j, len(axes)))
             return eigh(two_j, axes)
 
-        monkeypatch.setattr(groups, "axis_eigh", counted)
+        def orthogonality_only(*args):
+            monkeypatch.setattr(spin, "axis_eigh", counted)
+            try:
+                return residual(*args)
+            finally:
+                monkeypatch.setattr(spin, "axis_eigh", eigh)
+
+        monkeypatch.setattr(groups, "orthogonality_residual", orthogonality_only)
         assert cli.run_validation_suite()["passed"] is True
-        assert calls == [(1, 512), (1, 1152), (2, 512), (2, 1152)]
+        assert calls == [(1, 1), (1, 1), (2, 1), (2, 1)]
 
     def test_suite_stacks_its_quadratures(self, monkeypatch):
         # one oscillatory integral per two_j for all its axes and lambdas, one
-        # eigenbasis per two_j in each spin oracle, one integral for all phases
+        # eigenbasis per two_j in each spin oracle and per orthogonality level,
+        # one integral for all phases
         calls = {"integrate_oscillatory": 0, "integrate_real": 0, "axis_eigh": 0}
 
         def counted(owner, name):
@@ -467,7 +477,7 @@ class TestValidate:
         counted(numerics, "integrate_real")
         counted(spin, "axis_eigh")
         assert cli.run_validation_suite()["passed"] is True
-        assert calls == {"integrate_oscillatory": 3, "integrate_real": 1, "axis_eigh": 6}
+        assert calls == {"integrate_oscillatory": 3, "integrate_real": 1, "axis_eigh": 6 + 4}
 
     def test_suite_takes_one_eigenfunction_table_per_normalization_level(self, monkeypatch):
         # ten phases share psi_0..psi_8 at each of the ladder's two levels
@@ -505,7 +515,7 @@ class TestValidate:
         assert np.all(np.abs(np.subtract(values, self.UNSTACKED_VALUES[seed])) <= 1e-12)
 
     def test_traced_peak_stays_small(self):
-        # chart points and matrix coefficients are formed in bounded blocks
+        # chart points are formed in bounded blocks, and eigenbases one theta row at a time
         cli.run_validation_suite(2024)
         tracemalloc.start()
         try:

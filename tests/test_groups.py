@@ -93,7 +93,7 @@ class TestHaarIntegral:
         for axis, w_n in zip(axes, sphere_w):
             acc = sum(w * complex(f(groups.su2_exponential(r, axis))) for r, w in zip(t, t_w))
             want += w_n * acc
-        got = groups._haar_level(f, axes, sphere_w, t, t_w)
+        got = groups._haar_level(f, 16, t, t_w)
         assert abs(got - 4.0 * math.pi * want) <= 1e-12 * abs(4.0 * math.pi * want)
 
     @pytest.mark.parametrize("sphere_order, radial_panels", [(16, 2), (24, 4)])
@@ -101,14 +101,14 @@ class TestHaarIntegral:
         # the levels `validate` takes: nodes accumulate one at a time in node
         # order, so the chart volume keeps its digits; a pairwise sum over the
         # nodes moves it by 2e-15 and 1.5e-14 relative
-        axes, sphere_w = spin.sphere_rule(sphere_order)
+        _, sphere_w = spin.sphere_rule(sphere_order)
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, radial_panels)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = 0.0 + 0.0j
         for w_n in sphere_w:
             want += w_n * (t_w @ np.ones(len(t), dtype=complex))
         want *= 4.0 * math.pi
-        got = groups._haar_level(lambda g: 1.0, axes, sphere_w, t, t_w)
+        got = groups._haar_level(lambda g: 1.0, sphere_order, t, t_w)
         assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize(
@@ -128,6 +128,12 @@ class TestHaarIntegral:
         coarse, fine = info.value.estimates
         assert coarse != fine
         assert abs(fine - coarse) <= 1e-12 * groups.SU2_HAAR_VOLUME
+
+    def test_nan_integrand_does_not_converge(self):
+        # a NaN estimate never agrees with the level before it
+        with np.errstate(invalid="ignore"), pytest.raises(numerics.QuadratureError) as info:
+            groups.haar_integral_su2(lambda g: np.full(len(g), np.nan))
+        assert all(np.isnan(value) for value in info.value.estimates)
 
     def test_exponential_chart_element(self):
         g = groups.su2_exponential(0.0, (0.0, 0.0, 1.0))
@@ -190,6 +196,53 @@ class TestOrthogonality:
         rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1) / degree)
         assert np.all(residual <= 1e-6 * (1.0 + rhs))
 
+    def test_nan_vector_does_not_converge(self):
+        e0 = np.array([1.0, 0.0], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            numerics.QuadratureError, match="^quadruple 0: "
+        ):
+            groups.orthogonality_residual(1, [np.nan, 0.0], e0, e0, e0)
+
+    def test_traced_peak_at_two_j_16_stays_below_4_mib(self):
+        # the whole level's eigenbases at once peaked at 42 MiB here
+        rng = np.random.default_rng(216)
+        vecs = rng.normal(size=(4, 4, 17)) + 1j * rng.normal(size=(4, 4, 17))
+        u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+        tracemalloc.start()
+        try:
+            residual = groups.orthogonality_residual(16, u1, u2, v1, v2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1))
+        assert np.all(residual <= 1e-6 * (1.0 + rhs / groups.su2_formal_degree(16)))
+        assert peak < 4 * 2**20
+
+    def test_two_j_41_converges_at_the_last_level_below_32_mib(self, monkeypatch):
+        level = groups._ortho_level
+        orders = []
+
+        def recorded(two_j, quads, sphere_order, *rule):
+            orders.append(sphere_order)
+            return level(two_j, quads, sphere_order, *rule)
+
+        monkeypatch.setattr(groups, "_ortho_level", recorded)
+        rng = np.random.default_rng(241)
+        vecs = rng.normal(size=(4, 4, 42)) + 1j * rng.normal(size=(4, 4, 42))
+        u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+        u2[0] = u1[0]
+        v2[0] = v1[0]
+        tracemalloc.start()
+        try:
+            residual = groups.orthogonality_residual(41, u1, u2, v1, v2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1))
+        assert np.all(residual <= 1e-6 * (1.0 + rhs / groups.su2_formal_degree(41)))
+        assert orders == [16, 24, 48, 96]
+        assert peak < 32 * 2**20
+
     def test_rejects_dimension_mismatch(self):
         e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="dimension"):
@@ -208,7 +261,7 @@ def ortho_level_per_radial_node(two_j, quads, axes, sphere_w, t, t_w):
     reads: at each radial node t the product of the matrix coefficients
     u1^H U v1 and conj(u2^H U v2), U = W e^{i t m} W^H, added with weight w_t."""
     u1, u2, v1, v2 = quads
-    _, w = groups.axis_eigh(two_j, axes)
+    _, w = spin.axis_eigh(two_j, axes)
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
     radial = np.zeros((len(u1), len(axes)), dtype=complex)
     for node, weight in zip(t, t_w):
@@ -241,20 +294,21 @@ class TestStackedOrthogonality:
         t, t_w = numerics.panel_rule(0.0, 2.0 * math.pi, 2)
         t_w = t_w * 4.0 * np.sin(t / 2.0) ** 2
         want = ortho_level_per_radial_node(two_j, quads, axes, sphere_w, t, t_w)
-        got = groups._ortho_level(two_j, quads, axes, sphere_w, t, t_w)
+        got = groups._ortho_level(two_j, quads, 16, t, t_w)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_one_eigenbasis_per_level(self, monkeypatch):
+        # the sphere nodes' eigenbases are rotations of the one J_y eigenbasis
         calls = []
-        eigh = groups.axis_eigh
+        eigh = spin.axis_eigh
 
         def counted(two_j, axes):
-            calls.append(len(axes))
+            calls.append((two_j, axes.tolist()))
             return eigh(two_j, axes)
 
-        monkeypatch.setattr(groups, "axis_eigh", counted)
+        monkeypatch.setattr(spin, "axis_eigh", counted)
         groups.orthogonality_residual(2, *validate_quadruples(2))
-        assert calls == [512, 1152]
+        assert calls == [(2, [[0.0, 1.0, 0.0]])] * 2
 
     def test_traced_peak_stays_small(self):
         quadruples = validate_quadruples(2)
@@ -270,11 +324,11 @@ class TestStackedOrthogonality:
         level = groups._ortho_level
         calls = []
 
-        def perturbed(two_j, quads, axes, *rule):
+        def perturbed(two_j, quads, sphere_order, *rule):
             # every level past the first moves by 1e-6 more than the one before
-            lhs = level(two_j, quads, axes, *rule)
+            lhs = level(two_j, quads, sphere_order, *rule)
             lhs[[2, 4]] += 1e-6 * len(calls)
-            calls.append(len(axes))
+            calls.append(sphere_order)
             return lhs
 
         monkeypatch.setattr(groups, "_ortho_level", perturbed)
@@ -282,8 +336,8 @@ class TestStackedOrthogonality:
             groups.orthogonality_residual(1, *validate_quadruples(1))
         coarse, fine = info.value.estimates
         assert abs(fine - coarse) == pytest.approx(1e-6, rel=1e-3)
-        # sphere nodes of the levels (16, 2), (24, 4), (48, 8) and (96, 16)
-        assert calls == [512, 1152, 4608, 18432]
+        # the sphere orders of the levels (16, 2), (24, 4), (48, 8) and (96, 16)
+        assert calls == [16, 24, 48, 96]
 
     def test_rejects_stacks_of_different_lengths(self):
         u1, u2, v1, v2 = validate_quadruples(1)

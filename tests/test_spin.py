@@ -454,12 +454,13 @@ class TestExactReconstruction:
         assert abs(spin.exact_reconstruction(rho, a_matrix) - want) <= 1e-12
 
     def test_traced_peak_stays_bounded_past_two_j_30(self):
-        # every node's eigenbasis at once peaked at 86.4 MiB at two_j 30; the
-        # rules are cached first, so neither peak holds one
+        # every node's eigenbasis at once peaked at 86.4 MiB at two_j 30, and
+        # blocks of nodes at ~24 MiB from 30 to 60; one theta row at a time
+        # grows with j.  The rules are cached first, so no peak holds one
         peaks = {}
-        for two_j in (30, 40):
+        for two_j in (30, 40, 60):
             spin.sphere_rule(two_j + 1)
-        for two_j in (30, 40):
+        for two_j in (30, 40, 60):
             rng = np.random.default_rng(two_j)
             rho, a_matrix = random_state(rng, two_j), random_hermitian(rng, two_j + 1)
             tracemalloc.start()
@@ -468,8 +469,9 @@ class TestExactReconstruction:
                 _, peaks[two_j] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[30] <= 32 * 2**20
-        assert peaks[40] <= peaks[30]
+        assert peaks[30] <= 8 * 2**20
+        assert peaks[40] <= 8 * 2**20
+        assert peaks[60] <= 24 * 2**20
 
 
 class TestBatchKernel:
@@ -529,7 +531,8 @@ class TestHarmonicTable:
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_traced_peak_of_a_two_j_30_build_stays_bounded(self):
-        # all 2048 nodes at once peaked at ~100 MiB; blocks of nodes peak near 29 MiB
+        # all 2048 nodes at once peaked at ~100 MiB and blocks of nodes near 29
+        # MiB; one theta row at a time peaks near 4 MiB
         rho = random_state(np.random.default_rng(130), 30)
         tracemalloc.start()
         try:
@@ -537,7 +540,7 @@ class TestHarmonicTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
     def test_kernel_batch_and_single_records_are_bit_identical(self, two_j):
