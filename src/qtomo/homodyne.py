@@ -325,8 +325,8 @@ def kernel_matrix_element(n: int, l: int, y: float | np.ndarray) -> complex | np
     Outcomes that share a panel count refine together until all settle, so
     a value from an array call can differ, within that tolerance, from the
     value of a one-at-a-time call.  This quadrature is the oracle of the
-    Chebyshev table that :class:`MatrixElementKernel` builds, and its
-    evaluator past the table.
+    piecewise Chebyshev table that :class:`MatrixElementKernel` builds, and
+    its evaluator past the table.
     """
     if n < 0 or l < 0:
         raise ValueError("kernel indices must satisfy n >= 0, l >= 0")
@@ -349,16 +349,16 @@ class MatrixElementKernel:
     The element (n, l) with l < 0 is the conjugate of (n+l, -l), so both
     evaluate K of the base pair (n, |l|), with Y = :func:`default_kernel_cutoff`
     of that pair as the cutoff of its integral and the half-width of its
-    table.  The first :meth:`evaluate` that needs the table builds it once: a
-    Chebyshev interpolant of K on [-Y, Y] by :func:`numerics.chebyshev_fit`,
-    whose values at the Chebyshev points come from one fixed composite rule,
+    table.  The first :meth:`evaluate` that needs the table builds it once by
+    :func:`numerics.chebyshev_fit`, from the values of
     :func:`numerics.fixed_oscillatory_rule` with its panel count settled at
-    y = +-Y, in place of the adaptive quadrature of
-    :func:`kernel_matrix_element`, which is the table's oracle.  Every
-    outcome with |y| <= Y takes its value from the table by
-    :func:`numerics.chebyshev_values`, a pure function of (n, l, y); only
-    outcomes past Y go through the quadrature, where a batch value can
-    differ within that tolerance from the same outcome evaluated alone.
+    y = +-Y.  That rule makes K(Y x) a sum of e^{i Y t x} over t <= Y, of
+    exponential type Y^2, which sets the table's panel count;
+    :func:`kernel_matrix_element` is its oracle.  Outcomes with |y| <= Y
+    take their values from the table by :func:`numerics.chebyshev_values`, a
+    pure function of (n, l, y), in blocks of _SAMPLE_CHUNK records; only
+    outcomes past Y go through the quadrature, where a value can differ
+    within that tolerance from the same outcome evaluated alone.
     """
 
     def __init__(self, n: int, l: int):
@@ -378,11 +378,10 @@ class MatrixElementKernel:
             lambda t: _kernel_envelope(base_n, base_l, t), y_max, y_max
         )
         phase = (-1j) ** (base_l % 4)
-        return numerics.chebyshev_fit(lambda x: phase * integral(y_max * x))
+        return numerics.chebyshev_fit(lambda x: phase * integral(y_max * x), y_max * y_max)
 
     def _kernel_values(self, y: np.ndarray) -> np.ndarray:
-        """K of the base pair at each outcome: the table inside [-Y, Y], the
-        quadrature outside."""
+        """K of the base pair: the table inside [-Y, Y], the quadrature outside."""
         inside = np.abs(y) <= self._y_max
         values = np.empty(y.shape, dtype=complex)
         if inside.any():
@@ -395,8 +394,12 @@ class MatrixElementKernel:
 
     def evaluate(self, records: np.ndarray) -> np.ndarray:
         check_batch(records, HOMODYNE_DTYPE, "homodyne")
-        values = np.exp(1j * self._base[1] * records["phi"]) * self._kernel_values(records["y"])
-        return values if self.l >= 0 else values.conj()
+        out = np.empty(len(records), dtype=complex)
+        for start in range(0, len(records), _SAMPLE_CHUNK):
+            chunk = records[start : start + _SAMPLE_CHUNK]
+            values = np.exp(1j * self._base[1] * chunk["phi"]) * self._kernel_values(chunk["y"])
+            out[start : start + _SAMPLE_CHUNK] = values if self.l >= 0 else values.conj()
+        return out
 
 
 class PhotonNumberKernel:

@@ -49,8 +49,8 @@ _MAX_INITIAL_PANELS = _MAX_PANELS // 4
 # entries per block of the (frequencies x panels) phase matrix: 256 KiB of
 # complex values, or one row when a row is longer
 _PHASE_BLOCK = 2**14
-_CHEBYSHEV_START_DEGREE = 16
-_CHEBYSHEV_MAX_DEGREE = 2**13
+# the degree of every panel series of chebyshev_fit
+_PANEL_DEGREE = 32
 
 
 class NonHermitianError(ValueError):
@@ -68,8 +68,8 @@ class EigensolverError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Refinement hit its cap before two levels agreed, or would need more
-    panels than the cap allows.
+    """Refinement hit its cap before two levels agreed, would need more
+    panels than the cap allows, or a table missed its function.
 
     Carries the last two composite estimates for diagnosis, if there are any;
     ``reason`` replaces the default message.
@@ -383,42 +383,40 @@ def fixed_oscillatory_rule(
     return lambda freqs: _phase_sum(np.asarray(freqs, dtype=float), *rule)
 
 
-def _chebyshev_points(degree: int) -> np.ndarray:
-    """Chebyshev points of the second kind, cos(j pi / degree) for j = 0 ..
-    degree, written as sines: they are then symmetric about 0 exactly, and
-    the points of ``2 degree`` at even j are those of ``degree`` bit for bit."""
-    return np.sin(0.5 * np.pi * np.arange(degree, -degree - 1, -2) / degree)
+@functools.cache
+def _cosine_matrix(degree: int) -> np.ndarray:
+    """The read-only map from values at the Lobatto points cos(j pi / degree)
+    to the Chebyshev coefficients of their interpolant: (2 / degree) cos(j k
+    pi / degree) at row k, column j, with the end rows and columns halved;
+    built on first use."""
+    j = np.arange(degree + 1)
+    half = np.where(j % degree, 1.0, 0.5)
+    matrix = np.cos(np.pi * (np.outer(j, j) % (2 * degree)) / degree)
+    matrix *= np.outer(half, half * (2.0 / degree))
+    matrix.setflags(write=False)
+    return matrix
 
 
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients of the interpolant through ``values`` at the Chebyshev
-    points of degree ``len(values) - 1``, by the FFT of their even extension."""
-    degree = values.size - 1
-    coeffs = np.fft.fft(np.concatenate((values, values[-2:0:-1])))[: degree + 1] / degree
-    coeffs[0] /= 2.0
-    coeffs[-1] /= 2.0
-    return coeffs
+def chebyshev_values(x, table: np.ndarray) -> np.ndarray:
+    """The piecewise Chebyshev series of a :func:`chebyshev_fit` table, one
+    row per panel of P equal panels, at each point of ``x`` in [-1, 1].
 
-
-def chebyshev_values(x, coeffs: np.ndarray) -> np.ndarray:
-    """The Chebyshev series sum_k coeffs[k] T_k(x) at each point of ``x``.
-
-    Clenshaw's recurrence, in the order of numpy's ``chebval``, whose values
-    it reproduces bit for bit; ``coeffs`` is a 1-d real or complex array.
-    The recurrence runs in place on three arrays of the size of ``x``.
+    With s = (x + 1) (P / 2), x lies in panel p = min(floor s, P - 1), at the
+    local point 2 (s - p) - 1; its value is Clenshaw's recurrence in the
+    order of numpy's ``chebval``, so it equals ``chebval(local, table[p])``
+    bit for bit.  The recurrence runs in place on arrays of the size of ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(coeffs)
-    if c.size == 1:
-        return c[0] + 0.0 * x
-    if c.size == 2:
-        return c[0] + c[1] * x
+    panels = table.shape[0]
+    scaled = (np.asarray(x, dtype=float) + 1.0) * (0.5 * panels)
+    panel = np.minimum(scaled.astype(np.intp), panels - 1)
+    x = 2.0 * (scaled - panel) - 1.0
     x2 = 2.0 * x
-    c0, c1 = np.full(x.shape, c[-2]), np.full(x.shape, c[-1])
+    c0, c1 = table[panel, -2], table[panel, -1]
     spare = np.empty_like(c0)
-    for k in range(c.size - 3, -1, -1):
+    for k in range(table.shape[1] - 3, -1, -1):
         # c0, c1 = c[k] - c1, c0 + c1 x2
-        np.subtract(c[k], c1, out=spare)
+        np.take(table[:, k], panel, out=spare)
+        spare -= c1
         c1 *= x2
         c1 += c0
         c0, spare = spare, c0
@@ -427,34 +425,32 @@ def chebyshev_values(x, coeffs: np.ndarray) -> np.ndarray:
     return c1
 
 
-def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Chebyshev coefficients of an interpolant that agrees with ``f`` on
-    [-1, 1] within QUADRATURE_TOL; evaluate it with :func:`chebyshev_values`.
+def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], exponential_type: float) -> np.ndarray:
+    """Piecewise Chebyshev table of ``f`` on [-1, 1] for :func:`chebyshev_values`.
 
-    ``f`` maps an array of points to real or complex values.  The degree
-    climbs one doubling ladder from 16 over Chebyshev points of the second
-    kind, which are nested, so no point is evaluated twice: degree N is
-    accepted once its interpolant matches ``f`` within QUADRATURE_TOL, in
-    the real and the imaginary part, at the N new points of degree 2N.  Past
-    degree 8192 it raises QuadratureError.
+    ``f``, real or complex, must be bounded and of exponential type tau, like
+    a finite sum of e^{i w x} with |w| <= tau.  Each of P = ceil(tau / 8)
+    equal panels holds the interpolant of degree d = _PANEL_DEGREE at its
+    Lobatto points.  By Bernstein's inequality |f^(k)| <= tau^k max |f|, its
+    error on a panel of half-width h = 1 / P is at most 2^(1 - d) (h tau)^(d
+    + 1) max |f| / (d + 1)!, below 4e-17 max |f|, so nothing climbs.  One
+    check stays: a gap |table - f| past QUADRATURE_TOL at a panel's fresh
+    point where the node polynomial peaks, midway in angle between the nodes
+    nearest its centre, raises QuadratureError.
     """
-    tol, degree = QUADRATURE_TOL, _CHEBYSHEV_START_DEGREE
-    values = np.asarray(f(_chebyshev_points(degree)))
-    while degree <= _CHEBYSHEV_MAX_DEGREE:
-        coeffs = _chebyshev_coefficients(values)
-        fresh = _chebyshev_points(2 * degree)[1::2]
-        exact = np.asarray(f(fresh))
-        gap = chebyshev_values(fresh, coeffs) - exact
-        if np.all(np.abs(gap.real) <= tol) and np.all(np.abs(gap.imag) <= tol):
-            return coeffs
-        merged = np.empty(2 * degree + 1, dtype=np.result_type(values, exact))
-        merged[0::2], merged[1::2] = values, exact
-        values, degree = merged, 2 * degree
-    raise QuadratureError(
-        None,
-        tol,
-        f"no Chebyshev interpolant of degree <= {_CHEBYSHEV_MAX_DEGREE} agrees within {tol:.1e}",
-    )
+    tol, degree = QUADRATURE_TOL, _PANEL_DEGREE
+    panels = max(1, math.ceil(exponential_type / 8.0))
+    # the Lobatto points from 1 to -1 as sines, symmetric about 0 exactly
+    local = np.sin(0.5 * np.pi * np.arange(degree, -degree - 1, -2) / degree)
+    centres = (2.0 * np.arange(panels) + 1.0) / panels - 1.0
+    values = np.asarray(f((centres[:, None] + local / panels).ravel())).reshape(panels, -1)
+    table = np.einsum("pj,kj->pk", values, _cosine_matrix(degree))
+    fresh = centres + math.sin(0.5 * np.pi / degree) / panels
+    gap = np.abs(chebyshev_values(fresh, table) - np.asarray(f(fresh)))
+    if np.all(gap <= tol):
+        return table
+    reason = f"the degree-{degree} Chebyshev table on {panels} panels misses its function by"
+    raise QuadratureError(None, tol, f"{reason} {gap.max():.1e}, past {tol:.1e}")
 
 
 def real_spherical_harmonics(degree: int, axes: np.ndarray) -> np.ndarray:

@@ -618,10 +618,10 @@ class TestErrors:
         assert "did not converge" in err["error"]["message"]
         assert not (tmp_path / "kernel.csv").exists()
 
-    # a panel ladder that cannot climb, and a degree ladder that stops at its start
+    # a panel ladder that cannot climb, and a panel degree too low for the table's one check
     @pytest.mark.parametrize(
         "cap, value, message",
-        [("_MAX_PANELS", 64, "did not converge"), ("_CHEBYSHEV_MAX_DEGREE", 8, "no Chebyshev")],
+        [("_MAX_PANELS", 64, "did not converge"), ("_PANEL_DEGREE", 4, "Chebyshev table on")],
         ids=["panels", "degree"],
     )
     def test_a_failed_table_build_exits_2(self, tmp_path, capsys, monkeypatch, cap, value, message):
@@ -1309,8 +1309,11 @@ class TestImports:
         assert "numpy.ma" not in modules
 
     def test_homodyne_modes_load_no_numpy_polynomial(self, tmp_path, vacuum_state_path):
-        if run_python(tmp_path, "import numpy, sys; print('numpy.polynomial' in sys.modules)") == "True\n":
-            pytest.skip("a bare numpy import loads numpy.polynomial here")
+        # nor numpy.fft; each module is checked wherever a bare numpy import does not load it
+        probe = "import numpy, sys; print(' '.join(set(sys.argv[1:]) - set(sys.modules)))"
+        absent = set(run_python(tmp_path, probe, "numpy.polynomial", "numpy.fft").split())
+        if not absent:
+            pytest.skip("a bare numpy import loads numpy.polynomial and numpy.fft here")
         run = {
             "seed": 2,
             "count": 100,
@@ -1336,7 +1339,7 @@ class TestImports:
             code, modules = modules_after_main(tmp_path, [mode, "--config", config])
             assert code == 0
             assert "qtomo.numerics" in modules
-            assert "numpy.polynomial" not in modules, (mode, cfg.get("target"))
+            assert not modules & absent, (mode, cfg.get("target"))
 
     def test_homodyne_runs_that_never_integrate_never_build_the_panel_rule(
         self, tmp_path, vacuum_state_path

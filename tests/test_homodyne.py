@@ -646,10 +646,36 @@ class TestKernelTable:
         ys = np.array([0.3, -y_max, y_max + 0.25, -y_max - 40.0, y_max, np.nextafter(y_max, 0.0)])
         got = kernel.evaluate(homodyne.homodyne_records(np.zeros(ys.size), ys))
         inside = np.abs(ys) <= y_max
-        table = np.polynomial.chebyshev.chebval(ys[inside] / y_max, kernel._table)
-        assert got[inside].tobytes() == table.tobytes()
+        # chebval on each outcome's panel, by the rule of numerics.chebyshev_values
+        panels = kernel._table.shape[0]
+        scaled = (ys[inside] / y_max + 1.0) * (0.5 * panels)
+        panel = np.minimum(np.floor(scaled).astype(int), panels - 1)
+        local = 2.0 * (scaled - panel) - 1.0
+        table = [
+            np.polynomial.chebyshev.chebval(local[i : i + 1], kernel._table[p])
+            for i, p in enumerate(panel)
+        ]
+        assert got[inside].tobytes() == np.concatenate(table).tobytes()
         quadrature = homodyne.kernel_matrix_element(3, 2, ys[~inside])
         assert got[~inside].tobytes() == quadrature.tobytes()
+
+    @pytest.mark.parametrize("n, l", [(5, 0), (0, 200), (200, 0)])
+    def test_every_panel_matches_the_fixed_rule_at_its_fresh_midpoints(self, n, l):
+        kernel = homodyne.MatrixElementKernel(n, l)
+        y_max = kernel._y_max
+        table = kernel._build_table()
+        panels, degree = table.shape[0], table.shape[1] - 1
+        assert panels == math.ceil(y_max * y_max / 8.0)
+        # midway in angle between neighbouring Lobatto nodes of every panel
+        local = np.cos((np.arange(degree) + 0.5) * np.pi / degree)
+        x = ((2.0 * np.arange(panels)[:, None] + 1.0 + local[None, :]) / panels - 1.0).ravel()
+        integral = numerics.fixed_oscillatory_rule(
+            lambda t: homodyne._kernel_envelope(n, l, t), y_max, y_max
+        )
+        want = (-1j) ** (l % 4) * integral(y_max * x)
+        got = numerics.chebyshev_values(x, table)
+        assert np.max(np.abs(got.real - want.real)) <= numerics.QUADRATURE_TOL
+        assert np.max(np.abs(got.imag - want.imag)) <= numerics.QUADRATURE_TOL
 
     def test_outcomes_past_the_table_do_not_build_it(self):
         kernel = homodyne.MatrixElementKernel(0, 0)
@@ -668,8 +694,8 @@ class TestKernelTable:
         assert kernel._table is not None
         assert peak <= 2 * 2**20
 
-    @pytest.mark.parametrize("n, l", [(80, 20), (0, 200)])
-    def test_traced_peak_of_a_degree_2048_build_stays_below_1_mib(self, n, l):
+    @pytest.mark.parametrize("n, l, panels", [(80, 20, 136), (0, 200, 203)])
+    def test_traced_peak_of_a_many_panel_build_stays_below_1_mib(self, n, l, panels):
         # the adaptive ladder at every degree level peaked at 2.74 and 4.23 MiB
         kernel = homodyne.MatrixElementKernel(n, l)
         tracemalloc.start()
@@ -678,8 +704,24 @@ class TestKernelTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kernel._table.size == 2049
+        assert kernel._table.shape == (panels, 33)
         assert peak <= 2**20
+
+    def test_traced_peak_of_a_200k_evaluate_stays_below_12_mib(self):
+        # one pass over the whole batch peaked at 18.6 MiB
+        rng = np.random.default_rng(8)
+        kernel = homodyne.MatrixElementKernel(2, 1)
+        records = homodyne.homodyne_records(
+            rng.uniform(0.0, 2.0 * np.pi, 200_000), rng.uniform(-5.0, 5.0, 200_000)
+        )
+        tracemalloc.start()
+        try:
+            values = kernel.evaluate(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (200_000,)
+        assert peak <= 12 * 2**20
 
     def test_huge_outcome_fails_fast(self):
         kernel = homodyne.MatrixElementKernel(0, 0)

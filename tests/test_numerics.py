@@ -333,50 +333,61 @@ class TestFixedOscillatoryRule:
         assert len(sizes) == 2
 
 
+def panel_chebval(x, table):
+    """Per point, numpy's ``chebval`` at its local point on its panel of the
+    table, by the panel rule that :func:`numerics.chebyshev_values` states."""
+    panels = table.shape[0]
+    scaled = (x + 1.0) * (0.5 * panels)
+    panel = np.minimum(np.floor(scaled).astype(int), panels - 1)
+    local = 2.0 * (scaled - panel) - 1.0
+    assert np.all(np.abs(local) <= 1.0)
+    return [np.polynomial.chebyshev.chebval(local[i : i + 1], table[p]) for i, p in enumerate(panel)]
+
+
 class TestChebyshevValues:
-    @pytest.mark.parametrize("length", [1, 2, 3, 257])
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (1, 33), (7, 3), (203, 33)], ids=lambda shape: "%dx%d" % shape
+    )
     @pytest.mark.parametrize("kind", [float, complex])
-    def test_bit_identical_to_chebval(self, length, kind):
-        rng = np.random.default_rng(length)
-        coeffs = rng.normal(size=length).astype(kind)
+    def test_bit_identical_to_chebval_on_its_panel(self, shape, kind):
+        rng = np.random.default_rng(shape)
+        table = rng.normal(size=shape).astype(kind)
         if kind is complex:
-            coeffs += 1j * rng.normal(size=length)
-        x = np.concatenate((rng.uniform(-1.0, 1.0, 200), [-1.0, -0.0, 0.0, 1.0]))
-        want = np.polynomial.chebyshev.chebval(x, coeffs)
-        got = numerics.chebyshev_values(x, coeffs)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+            table += 1j * rng.normal(size=shape)
+        edges = np.linspace(-1.0, 1.0, shape[0] + 1)
+        x = np.concatenate((rng.uniform(-1.0, 1.0, 200), [-1.0, -0.0, 0.0, 1.0], edges))
+        got = numerics.chebyshev_values(x, table)
+        assert got.dtype == table.dtype
+        for i, want in enumerate(panel_chebval(x, table)):
+            assert got[i : i + 1].tobytes() == want.tobytes()
 
 
 class TestChebyshevFit:
-    def test_fits_a_smooth_complex_function_without_repeating_points(self, monkeypatch):
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_fits_a_function_of_known_type_on_the_derived_panels(self, monkeypatch, kind):
         monkeypatch.setattr(numerics, "QUADRATURE_TOL", 1e-12)
-        seen = []
 
+        # of exponential type 50 + 10: P = ceil(60 / 8) = 8 panels
         def f(x):
-            seen.append(x)
-            return np.exp(x) * (1.0 + 0.5j * np.sin(3.0 * x))
+            wave = np.exp(1j * 50.0 * x) if kind is complex else np.cos(50.0 * x)
+            return wave * (2.0 + np.cos(10.0 * x))
 
-        coeffs = numerics.chebyshev_fit(f)
-        points = np.concatenate(seen)
-        # degree N is accepted at the N new points of degree 2N
-        assert points.size == 2 * (coeffs.size - 1) + 1
-        assert np.unique(points).size == points.size
+        table = numerics.chebyshev_fit(f, 60.0)
+        assert table.shape == (8, numerics._PANEL_DEGREE + 1)
+        assert table.dtype == np.dtype(kind)
         x = np.random.default_rng(4).uniform(-1.0, 1.0, 500)
         x = np.concatenate((x, [-1.0, 1.0]))
-        err = np.polynomial.chebyshev.chebval(x, coeffs) - f(x)
+        err = numerics.chebyshev_values(x, table) - f(x)
         assert np.max(np.abs(err)) <= 1e-12
 
-    def test_points_are_symmetric_and_nested(self):
-        coarse = numerics._chebyshev_points(16)
-        fine = numerics._chebyshev_points(32)
-        assert np.array_equal(fine[::2], coarse)
-        assert np.array_equal(coarse, -coarse[::-1])
-        assert coarse[0] == 1.0 and coarse[-1] == -1.0
+    @pytest.mark.parametrize("tau", [0.0, 8.0, 8.5, 1622.6])
+    def test_panel_count_is_the_type_over_8_rounded_up(self, tau):
+        table = numerics.chebyshev_fit(lambda x: np.exp(1j * tau * x), tau)
+        assert table.shape[0] == max(1, math.ceil(tau / 8.0))
 
-    def test_raises_past_the_degree_cap(self):
-        with pytest.raises(numerics.QuadratureError, match="degree <= 8192"):
-            numerics.chebyshev_fit(np.sign)
+    def test_an_understated_type_raises(self):
+        with pytest.raises(numerics.QuadratureError, match="Chebyshev table on 1 panels misses"):
+            numerics.chebyshev_fit(lambda x: np.exp(1j * 60.0 * x), 6.0)
 
 
 class TestNoToleranceArguments:
@@ -387,7 +398,7 @@ class TestNoToleranceArguments:
             (groups.haar_integral_su2, ["f"]),
             (numerics.integrate_real, ["f", "a", "b"]),
             (numerics.integrate_oscillatory, ["g", "frequency", "cutoff"]),
-            (numerics.chebyshev_fit, ["f"]),
+            (numerics.chebyshev_fit, ["f", "exponential_type"]),
             (numerics.fixed_oscillatory_rule, ["g", "max_frequency", "cutoff"]),
             (homodyne.kernel_matrix_element, ["n", "l", "y"]),
         ],
