@@ -71,8 +71,9 @@ class FockDensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # the Hermite functions of every path stop at MAX_POLY_DEGREE
+        if not 1 <= self.n_max <= numerics.MAX_POLY_DEGREE:
+            raise ValueError(f"n_max must be in 1..{numerics.MAX_POLY_DEGREE}, got {self.n_max}")
         m = numerics.density_matrix(self.matrix, self.n_max + 1)
         tail = float(m[-1, -1].real)
         if tail > TAIL_TOL:
@@ -81,10 +82,6 @@ class FockDensityMatrix:
                 "increase n_max"
             )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
 
 
 def homodyne_records(phi, y) -> np.ndarray:

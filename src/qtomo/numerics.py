@@ -453,25 +453,23 @@ def chebyshev_fit(f: Callable[[np.ndarray], np.ndarray], exponential_type: float
     raise QuadratureError(None, tol, f"{reason} {gap.max():.1e}, past {tol:.1e}")
 
 
-def real_spherical_harmonics(degree: int, axes: np.ndarray) -> np.ndarray:
+def real_spherical_harmonics(degree: int, axes: np.ndarray):
     """Real spherical harmonics of every L <= ``degree`` at unit ``axes``
-    (r, 3), one row per harmonic, shape ((degree + 1)**2, r).  They are
-    orthonormal under the normalized dOmega: the mean of each square over
-    the sphere is 1.
+    (r, 3), generated as (L, row) pairs, one new row of r values per harmonic,
+    with no array of them all.  They are orthonormal under the normalized
+    dOmega: the mean of each square over the sphere is 1.
 
     Rows run m-major: for m = 0 the zonal harmonics L = 0..degree, then for
     each m >= 1 the cos(m phi) harmonics L = m..degree followed by the
     sin(m phi) ones.  Harmonic (L, m) is Q_L^m(z) Re or Im (x + iy)^m, with
     Q_L^m the normalized associated Legendre function divided by
     sin(theta)^m, by its three-term recurrence in L; no angle is formed and
-    every operation is elementwise, so a column depends on its axis only.
+    every operation is elementwise, so a value depends on its axis only.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     axes = np.asarray(axes, dtype=float)
     x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
-    out = np.empty(((degree + 1) ** 2, axes.shape[0]))
-    row = 0
     diag = 1.0  # Q_m^m, a constant
     re, im = np.ones_like(x), np.zeros_like(x)  # (x + iy)^m
     for m in range(degree + 1):
@@ -479,22 +477,12 @@ def real_spherical_harmonics(degree: int, axes: np.ndarray) -> np.ndarray:
             # sqrt((2m + 1) / 2m) per step, and sqrt(2) once for the cos/sin pairs
             diag *= math.sqrt((2 * m + 1) / (2 * m) * (2.0 if m == 1 else 1.0))
             re, im = re * x - im * y, re * y + im * x
-        first = row
-        out[row] = diag
+        q = [np.full_like(z, diag)]  # Q_L^m for L = m..degree
         for l in range(m + 1, degree + 1):
-            row += 1
-            if l == m + 1:
-                out[row] = math.sqrt(2 * m + 3) * z * out[row - 1]
-            else:
-                a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-                b = math.sqrt(
-                    (2 * l + 1) * ((l - 1) ** 2 - m * m) / ((2 * l - 3) * (l * l - m * m))
-                )
-                out[row] = a * z * out[row - 1] - b * out[row - 2]
-        row += 1
-        if m:
-            count = row - first
-            np.multiply(out[first:row], im, out=out[row : row + count])
-            out[first:row] *= re
-            row += count
-    return out
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt((2 * l + 1) * ((l - 1) ** 2 - m * m) / ((2 * l - 3) * (l * l - m * m)))
+            # b is 0 at l = m + 1, where there is no Q_{l-2}^m
+            q.append(a * z * q[-1] - b * (q[-2] if l > m + 1 else 0.0))
+        for part in (re, im) if m else (re,):
+            for l, row in enumerate(q, m):
+                yield l, row * part

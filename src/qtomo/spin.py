@@ -9,6 +9,7 @@ magnetic number m = -j..+j throughout.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,14 @@ __all__ = [
 AXIS_NORM_TOL = 1e-12
 
 # the largest two_j any path accepts: a harmonic table there sums over the 61
-# theta rows of sphere_rule(61) from one eigh of J_y, 2.3 s, and simulate-spin
-# draws 2000 records of a dense state in 4.8 s and 66 MB RSS on a 2-core Xeon
+# theta rows of sphere_rule(61) from one eigh of J_y, 0.6-1.1 s, and simulate-spin
+# draws 60000 records of a dense state in 2.5-3.4 s and 61 MB RSS on a 2-core Xeon
 MAX_TWO_J = 60
 
 # one record: spin along ``axis`` gave magnetic number two_m / 2
 SPIN_DTYPE = np.dtype([("axis", np.float64, (3,)), ("two_m", np.int64)])
 
 _SAMPLE_CHUNK = 8192
-# entries of one block of harmonic values, 4 MB
-_BASIS_BLOCK = 2**19
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,10 +109,6 @@ class SpinDensityMatrix:
         if self.two_j < 1:
             raise ValueError("two_j must be >= 1")
         object.__setattr__(self, "matrix", numerics.density_matrix(self.matrix, self.two_j + 1))
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
 
 
 def spin_records(axes, two_m) -> np.ndarray:
@@ -228,7 +223,8 @@ def _node_sum(two_j: int, order: int, term) -> np.ndarray:
     eigenbases, m ascending.  The rule is a product grid, so these are the
     rotations e^{-i phi J_z} U e^{-i theta mu} U^H |m>, from one
     :func:`axis_eigh` of J_y = U mu U^H per call; their column phases cancel
-    in every quadratic form.  A row holds 2 order (2j + 1)**2 entries."""
+    in every quadratic form.  A row holds 2 order (2j + 1)**2 entries.  Terms
+    add by ``+``, so list terms give their items in node order."""
     axes, w = sphere_rule(order)
     mu, u = (part[0] for part in axis_eigh(two_j, np.array([[0.0, 1.0, 0.0]])))
     m_values = -two_j / 2.0 + np.arange(two_j + 1)
@@ -240,44 +236,58 @@ def _node_sum(two_j: int, order: int, term) -> np.ndarray:
         vectors = np.exp(-1j * np.arctan2(y, x)[:, None, None] * m_values[:, None]) * d
         return term(axes[row], w[row], vectors)
 
-    return functools.reduce(np.add, map(row_sum, range(0, len(w), 2 * order)))
+    return functools.reduce(operator.add, map(row_sum, range(0, len(w), 2 * order)))
+
+
+@functools.cache
+def _zonal_matrix(two_j: int) -> np.ndarray:
+    """The orthogonal P[L, m] = p_L(m) of the orthonormal (Gram) polynomials on
+    m = -j..+j, ascending, from one eigh of their Jacobi matrix (off-diagonal
+    L sqrt((N**2 - L**2) / (4 (4 L**2 - 1))), N = 2j + 1), row 0 positive, read-only.
+    p_L(J_z) has degree L and is orthogonal to lower powers: the rank-L tensor along z."""
+    l = np.arange(1.0, two_j + 1)
+    beta = l * np.sqrt(((two_j + 1) ** 2 - l * l) / (4.0 * (4.0 * l * l - 1.0)))
+    vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))[1]
+    vectors *= np.sign(vectors[0])
+    vectors.setflags(write=False)
+    return vectors
 
 
 def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
-    """Real coefficients of the diagonal a_m(n) of a Hermitian ``matrix`` in
-    the J_n eigenbasis on the real spherical harmonics L <= 2j, one column
-    per m, shape ((2j + 1)**2, 2j + 1).
+    """The diagonal a_m(n) of a Hermitian ``matrix`` A in the J_n eigenbasis as
+    one real coefficient per real harmonic L <= 2j, shape ((2j + 1)**2,), in
+    the row order of :func:`numerics.real_spherical_harmonics`.
 
-    Each a_m(n) is a polynomial of degree <= 2j in the axis, so its
-    harmonic series stops at L = 2j, and the rule of order 2j + 1, exact up
-    to degree 4j, makes the projection a plain weighted sum of the values at
-    its nodes, taken theta row by theta row by :func:`_node_sum`.
+    The projector on J_n = m is sum_L p_L(m) p_L(J_n) (:func:`_zonal_matrix`),
+    so a_m(n) = sum_L p_L(m) f_L(n), where f_L(n) = Tr[A p_L(J_n)], of a rotated
+    rank-L tensor, is a harmonic of degree L alone.  The rule of order 2j + 1,
+    exact up to degree 4j, makes the projection a plain weighted sum over its
+    nodes, whose eigenbases :func:`_node_sum` takes theta row by theta row.
     """
     two_j = matrix.shape[0] - 1
-    return _node_sum(
-        two_j,
-        two_j + 1,
-        lambda axes, w, vectors: numerics.real_spherical_harmonics(two_j, axes)
-        @ (w[:, None] * _diagonals(matrix, vectors).real),
-    )
+    weighted = _node_sum(two_j, two_j + 1, lambda _, w, v: [w * _diagonals(matrix, v).real.T])
+    # w f_L at every node, one row per L
+    f = _zonal_matrix(two_j) @ np.concatenate(weighted, axis=1)
+    harmonics = numerics.real_spherical_harmonics(two_j, sphere_rule(two_j + 1)[0])
+    return np.array([row @ f[l] for l, row in harmonics])
 
 
 def _table_values(table: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """a_m(n) for unit ``axes`` (r, 3) from a :func:`_harmonic_table`, (r, 2j + 1).
 
-    The harmonics are summed one after another in a fixed order, never by a
-    BLAS product, so a row is a pure function of its axis, whatever the
-    batch around it.
+    Each harmonic is added into its f_L, then f is spread over m by the rows
+    of :func:`_zonal_matrix`: O((2j + 1)**2) per record, in place in a fixed
+    order, never by a BLAS product, so a row is a pure function of its axis.
     """
-    two_j = table.shape[1] - 1
-    out = np.zeros((two_j + 1, axes.shape[0]))
-    rows = max(1, _BASIS_BLOCK // table.shape[0])
-    for start in range(0, axes.shape[0], rows):
-        basis = numerics.real_spherical_harmonics(two_j, axes[start : start + rows])
-        acc = out[:, start : start + rows]
-        term = np.empty_like(acc)
-        for coeffs, harmonic in zip(table[:, :, None], basis):
-            acc += np.multiply(coeffs, harmonic, out=term)
+    two_j = round(table.size**0.5) - 1
+    zonal = _zonal_matrix(two_j)
+    f = np.zeros((two_j + 1, axes.shape[0]))
+    for coeff, (l, harmonic) in zip(table, numerics.real_spherical_harmonics(two_j, axes)):
+        f[l] += np.multiply(harmonic, coeff, out=harmonic)
+    out = np.zeros_like(f)
+    term = np.empty_like(f)
+    for p, f_l in zip(zonal, f):
+        out += np.multiply(p[:, None], f_l, out=term)
     # C order, so a row's reductions run as they would on that row alone
     return np.ascontiguousarray(out.T)
 
@@ -301,10 +311,10 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
 
     The state's p_m(n) come from one harmonic table built per call (see
     :func:`_harmonic_table`), with one :func:`axis_eigh` of J_y as its only
-    eigensolver call; each record's p_m are then clipped at 0,
-    normalized and drawn by inverse CDF.  Record i is a pure function of
-    (seed, i); prefixes of longer runs and shard layouts reproduce
-    identical streams.
+    eigensolver call, at O((2j + 1)**2) per record; each record's p_m are
+    then clipped at 0, normalized and drawn by inverse CDF.  Record i is a
+    pure function of (seed, i); prefixes of longer runs and shard layouts
+    reproduce identical streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -426,9 +436,9 @@ class SpinOperatorKernel:
     """Batch estimator kernel for a fixed spin observable.
 
     Builds the observable's harmonic table once (see :func:`_harmonic_table`)
-    and evaluates the closed-form kernel on a ``SPIN_DTYPE`` record batch
-    from the table's a_m(n) through the one sigma stencil; pure per record,
-    so shard layout never changes a value.
+    and evaluates the closed-form kernel on a ``SPIN_DTYPE`` record batch from
+    the table's a_m(n), O((2j + 1)**2) per record, through the one sigma
+    stencil; pure per record, so shard layout never changes a value.
     """
 
     def __init__(self, a_matrix: np.ndarray):

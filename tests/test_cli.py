@@ -950,6 +950,29 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
         assert records.read_text() == f'{{"axis": [0.0, 0.0, 1.0], "two_m": {two_j}}}\n'
 
+    def test_homodyne_state_past_the_size_limit_fails_fast(self, tmp_path, capsys):
+        n_max = numerics.MAX_POLY_DEGREE + 1
+        state = tmp_path / "state.json"
+        rho = [[[0, 0]] * (n_max + 1) for _ in range(n_max + 1)]
+        rho[0][0] = [1, 0]
+        state.write_text(json.dumps({"n_max": n_max, "rho": rho}))
+        payload = {
+            "seed": 1,
+            "count": 1000,
+            "state_path": str(state),
+            "records_path": str(tmp_path / "records.jsonl"),
+        }
+        config = write_config(tmp_path, "run.json", payload)
+        start = time.perf_counter()
+        assert cli.main(["simulate-homodyne", "--config", config]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "config"
+        assert f"n_max must be in 1..{numerics.MAX_POLY_DEGREE}, got {n_max}" in err["message"]
+        assert not (tmp_path / "records.jsonl").exists()
+
     @pytest.mark.parametrize(
         "mode, state, message",
         [

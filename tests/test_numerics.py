@@ -418,6 +418,12 @@ def random_axes(rng, count):
     return axes / np.linalg.norm(axes, axis=1)[:, None]
 
 
+def harmonic_rows(degree, axes):
+    """Every (L, row) pair of the generator, as a list of degrees and an array."""
+    pairs = list(numerics.real_spherical_harmonics(degree, axes))
+    return [l for l, _ in pairs], np.array([row for _, row in pairs])
+
+
 class TestRealSphericalHarmonics:
     def test_closed_forms_up_to_degree_two(self):
         axes = random_axes(np.random.default_rng(3), 50)
@@ -436,31 +442,33 @@ class TestRealSphericalHarmonics:
             s15 * (x * x - y * y) / 2.0,
             s15 * x * y,
         ]
-        got = numerics.real_spherical_harmonics(2, axes)
+        degrees, got = harmonic_rows(2, axes)
+        assert degrees == [0, 1, 2, 1, 2, 1, 2, 2, 2]
         assert got.shape == (9, 50)
         np.testing.assert_allclose(got, np.array(want), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 20, 40])
     def test_orthonormal_under_the_rule_of_order_degree_plus_one(self, degree):
         axes, w = spin.sphere_rule(degree + 1)
-        basis = numerics.real_spherical_harmonics(degree, axes)
+        degrees, basis = harmonic_rows(degree, axes)
+        assert sorted(degrees) == [l for l in range(degree + 1) for _ in range(2 * l + 1)]
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(basis.shape[0]))) <= 1e-12
 
     @pytest.mark.parametrize("degree", [1, 2, 8])
     def test_one_order_lower_is_not_exact(self, degree):
         axes, w = spin.sphere_rule(degree)
-        basis = numerics.real_spherical_harmonics(degree, axes)
+        _, basis = harmonic_rows(degree, axes)
         gram = (basis * w) @ basis.T
         assert np.max(np.abs(gram - np.eye(basis.shape[0]))) >= 0.5
 
     def test_columns_depend_on_their_axis_only(self):
         axes = random_axes(np.random.default_rng(8), 37)
-        batch = numerics.real_spherical_harmonics(6, axes)
+        _, batch = harmonic_rows(6, axes)
         for i in range(axes.shape[0]):
-            alone = numerics.real_spherical_harmonics(6, axes[i : i + 1])
+            _, alone = harmonic_rows(6, axes[i : i + 1])
             assert np.array_equal(alone[:, 0], batch[:, i])
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            numerics.real_spherical_harmonics(-1, np.zeros((1, 3)))
+            next(numerics.real_spherical_harmonics(-1, np.zeros((1, 3))))

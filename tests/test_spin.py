@@ -509,6 +509,33 @@ class TestBatchKernel:
             kernel.evaluate(homodyne_records([0.0], [0.0]))
 
 
+class TestZonalMatrix:
+    """P[L, m] = p_L(m), the orthonormal polynomials on m = -j..+j."""
+
+    @pytest.mark.parametrize("two_j", range(1, spin.MAX_TWO_J + 1))
+    def test_orthogonal(self, two_j):
+        zonal = spin._zonal_matrix(two_j)
+        eye = np.eye(two_j + 1)
+        assert np.max(np.abs(zonal @ zonal.T - eye)) <= 1e-14
+        assert np.max(np.abs(zonal.T @ zonal - eye)) <= 1e-14
+
+    @pytest.mark.parametrize("two_j", range(1, spin.MAX_TWO_J + 1))
+    def test_row_l_is_orthogonal_to_every_lower_power(self, two_j):
+        # so row L has degree L: with P orthogonal, no lower degree is left for it
+        zonal = spin._zonal_matrix(two_j)
+        # powers of m / j, so every m**k is on one scale
+        x = np.linspace(-1.0, 1.0, two_j + 1)
+        moments = zonal @ np.vander(x, two_j + 1, increasing=True)
+        assert np.max(np.abs(np.tril(moments, -1))) <= 1e-13
+        np.testing.assert_allclose(zonal[0], 1.0 / math.sqrt(two_j + 1), rtol=0.0, atol=1e-14)
+
+    def test_cached_and_read_only(self):
+        zonal = spin._zonal_matrix(6)
+        assert spin._zonal_matrix(6) is zonal
+        with pytest.raises(ValueError):
+            zonal[0, 0] = 1.0
+
+
 class TestHarmonicTable:
     """One table per spin state and observable, against the eigh oracle."""
 
@@ -542,7 +569,26 @@ class TestHarmonicTable:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8, 40])
+    def test_a_table_is_one_coefficient_per_harmonic(self, two_j):
+        rho = random_state(np.random.default_rng(180 + two_j), two_j)
+        assert spin._harmonic_table(rho.matrix).shape == ((two_j + 1) ** 2,)
+
+    def test_traced_peak_of_one_chunk_at_two_j_60_stays_bounded(self):
+        # the full basis on one chunk would be 3721 x 8192 doubles, 233 MiB;
+        # f_L, the spread over m and its copy in record order peak near 15 MiB
+        rng = np.random.default_rng(160)
+        table = spin._harmonic_table(random_state(rng, 60).matrix)
+        axes = random_axes(rng, spin._SAMPLE_CHUNK)
+        tracemalloc.start()
+        try:
+            spin._table_values(table, axes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8, 20])
     def test_kernel_batch_and_single_records_are_bit_identical(self, two_j):
         rng = np.random.default_rng(150 + two_j)
         records = spin.sample_spin(random_state(rng, two_j), 200, seed=two_j)
@@ -552,7 +598,7 @@ class TestHarmonicTable:
             alone = np.concatenate([kernel.evaluate(records[i : i + 1]) for i in range(200)])
             assert np.array_equal(batch, alone)
 
-    @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8, 20])
     def test_sampler_batch_and_single_records_are_bit_identical(self, two_j, monkeypatch):
         rho = random_state(np.random.default_rng(160 + two_j), two_j)
         batch = spin.sample_spin(rho, 300, seed=17)
