@@ -693,6 +693,25 @@ class TestErrors:
         assert err["error"]["code"] == "quadrature"
         assert "frequency 1000000.0 " in err["error"]["message"]
 
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 5: outcomes past Y exit 2 with code quadrature"
+    )
+    @pytest.mark.parametrize("mode", ["reconstruct", "kernel-export"])
+    def test_a_finite_outcome_past_the_table_exits_0(self, tmp_path, capsys, mode):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"phi": 0.5, "y": 5000}\n')
+        payload = {"target": {"type": "matrix-element", "n": 1, "l": 1}}
+        if mode == "reconstruct":
+            payload.update(records_path=str(records), output_path=str(tmp_path / "out.json"))
+        else:
+            payload.update(
+                grid={"min": -5000, "max": 5000, "points": 3}, output_path=str(tmp_path / "k.csv")
+            )
+        start = time.perf_counter()
+        code = cli.main([mode, "--config", write_config(tmp_path, "run.json", payload)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, capsys.readouterr().err
+
     def test_huge_finite_estimator_is_a_data_error(self, tmp_path, capfd):
         # y^2 - 1/2 = 1e308 is finite, but its squared deviation is not
         records = tmp_path / "records.jsonl"
