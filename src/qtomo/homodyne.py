@@ -57,8 +57,11 @@ TAIL_TOL = 1e-8
 CDF_TOL = 1e-4
 
 _SAMPLE_CHUNK = 8192
-# the sampler's blocks: at 8192 its cubic solve's temporaries raised a step's peak RSS
+# the sampler's blocks: at most 4096 records (at 8192 a narrow state's cubic solve
+# raised a step's peak RSS) and 2**17 coefficients, 1 MiB (4096 records of the dense
+# |0..199> state's 399 columns held 13 MB per temporary; 2**15 slowed coherent draws 17 %)
 _DRAW_BLOCK = 4096
+_DRAW_ENTRIES = 2**17
 _NEWTON_STEPS = 10  # near a zero of omega, 8 steps left 4e-7 of CDF and 10 left 8e-9
 
 # one quorum draw: phase phi in [0, 2 pi) and outcome y of Y_phi
@@ -278,14 +281,16 @@ def sample_homodyne(rho: FockDensityMatrix, count: int, seed: int) -> np.ndarray
     The CDF tables are exact at every edge (see :class:`_CdfSampler`); one
     grid, a function of n_max alone, serves every record, and its cubic
     interpolant stays within CDF_TOL of the CDF for every state and phi.
-    Record i is a pure function of (seed, i), whatever the block size.
+    A block holds at most _DRAW_ENTRIES coefficients, so fewer records for a
+    wider state; record i is a pure function of (seed, i), whatever the block size.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     sampler = _CdfSampler(rho)
+    block = min(_DRAW_BLOCK, _DRAW_ENTRIES // sampler.masses.shape[1])
     phis, ys = np.empty(count), np.empty(count)
-    for start in range(0, count, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
         u = record_uniforms(seed, start, stop - start, 2)
         phis[start:stop] = 2.0 * np.pi * u[:, 0]
         ys[start:stop] = sampler.sample(phis[start:stop], u[:, 1])
@@ -348,8 +353,9 @@ class MatrixElementKernel:
     of that pair as the cutoff of its integral and the half-width of its
     table.  The first :meth:`evaluate` that needs the table builds it once by
     :func:`numerics.chebyshev_fit`, from the values of
-    :func:`numerics.fixed_oscillatory_rule` with its panel count settled at
-    y = +-Y.  That rule makes K(Y x) a sum of e^{i Y t x} over t <= Y, of
+    :func:`numerics.fixed_oscillatory_rule` on a quarter of the panels that
+    :func:`numerics.oscillatory_panel_count` gives Y, with no ladder.  That
+    rule makes K(Y x) a sum of e^{i Y t x} over t <= Y, of
     exponential type Y^2, which sets the table's panel count;
     :func:`kernel_matrix_element` is its oracle.  Outcomes with |y| <= Y
     take their values from the table by :func:`numerics.chebyshev_values`, a

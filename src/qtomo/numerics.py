@@ -361,25 +361,17 @@ def fixed_oscillatory_rule(
     """The integral of e^{i f t} g(t) over [0, cutoff] as a function of a
     1-d array of frequencies |f| <= ``max_frequency``, on one fixed rule.
 
-    The rule is the level at which the refinement ladder settles for the
-    two hardest frequencies, f = +-max_frequency, climbed once from 1/8 of
-    their :func:`oscillatory_panel_count`; ``g`` is weighted by it once.
-    Each value is then a pure function of its frequency, a sum of the same
-    panel terms as :func:`integrate_oscillatory` forms, without a ladder of
-    its own.
+    The rule has a quarter of the :func:`oscillatory_panel_count` of
+    max_frequency, so a panel spans up to a period of the hardest frequency,
+    which the 16-point rule resolves for the kernel envelopes: for every n + l
+    <= 200 it agrees with its doubling within QUADRATURE_TOL at f =
+    +-max_frequency (a tier-1 test holds a subsample, a CI step every pair).
+    ``g`` is weighted by it once.  Each value is then a pure function of its
+    frequency, a sum of the same panel terms as :func:`integrate_oscillatory`
+    forms, without a ladder of its own.
     """
-    hardest = np.array([-max_frequency, max_frequency], dtype=float)
-    # that count keeps a panel within a quarter period, which the 16-point
-    # rule resolves with room to spare, so the ladder starts lower
-    start = max(1, int(oscillatory_panel_count(max_frequency, cutoff)) // 8)
-    rules = {}
-
-    def estimate(n_panels):
-        rules[n_panels] = _phase_rule(g, cutoff, n_panels)
-        return _phase_sum(hardest, *rules[n_panels])
-
-    _, settled = _refine(estimate, start)
-    rule = rules[settled]
+    n_panels = max(1, int(oscillatory_panel_count(max_frequency, cutoff)) // 4)
+    rule = _phase_rule(g, cutoff, n_panels)
     return lambda freqs: _phase_sum(np.asarray(freqs, dtype=float), *rule)
 
 

@@ -80,22 +80,26 @@ def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def _check_axis(axis) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    norm = float(np.linalg.norm(axis))
+def _unit_axes(axes) -> np.ndarray:
+    """A unit axis (3,) or a stack of them (r, 3), as a float stack (r, 3);
+    RecordError at the first whose norm misses 1 by more than AXIS_NORM_TOL."""
+    axes = np.asarray(axes, dtype=float)
+    if axes.ndim not in (1, 2) or axes.shape[-1] != 3:
+        raise ValueError(f"axes must have shape (3,) or (r, 3), got {axes.shape}")
+    axes = axes.reshape(-1, 3)
+    norm = np.sqrt(np.einsum("ri,ri->r", axes, axes))
     # written so that a NaN norm fails too
-    if not (abs(norm - 1.0) <= AXIS_NORM_TOL):
-        raise ValueError(f"axis must be unit length, got norm {norm!r}")
-    return axis
+    check_rows([(np.abs(norm - 1.0) <= AXIS_NORM_TOL, "axis must be unit length", norm)])
+    return axes
 
 
 def axis_operator(two_j: int, axis) -> np.ndarray:
-    """J_n = n . J for a unit axis n; spectrum is exactly -j..+j."""
-    axis = _check_axis(axis)
+    """J_n = n . J for a unit axis n (3,), or one per axis of a stack (r, 3);
+    the spectrum is exactly -j..+j."""
+    axes = _unit_axes(axis)
     jx, jy, jz = spin_matrices(two_j)
-    return axis[0] * jx + axis[1] * jy + axis[2] * jz
+    stack = axes[:, 0, None, None] * jx + axes[:, 1, None, None] * jy + axes[:, 2, None, None] * jz
+    return stack if np.ndim(axis) == 2 else stack[0]
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,8 @@ def spin_records(axes, two_m) -> np.ndarray:
         raise ValueError("axes must have shape (N, 3) and two_m shape (N,)")
     if two_m.dtype.kind not in "iu":
         raise ValueError(f"two_m must hold integers, got dtype {two_m.dtype}")
-    norm = np.sqrt(np.einsum("ri,ri->r", axes, axes))
-    # written so that a NaN norm fails too
-    check_rows([(np.abs(norm - 1.0) <= AXIS_NORM_TOL, "axis must be unit length", norm)])
     batch = np.empty(two_m.size, dtype=SPIN_DTYPE)
-    batch["axis"], batch["two_m"] = axes, two_m
+    batch["axis"], batch["two_m"] = _unit_axes(axes), two_m
     return batch
 
 
@@ -154,15 +155,10 @@ def maximally_mixed(two_j: int) -> SpinDensityMatrix:
 
 
 def axis_eigh(two_j: int, axes: np.ndarray):
-    """Stacked eigendecomposition of J_n for axes of shape (r, 3), m ascending."""
-    jx, jy, jz = spin_matrices(two_j)
-    stack = (
-        axes[:, 0, None, None] * jx
-        + axes[:, 1, None, None] * jy
-        + axes[:, 2, None, None] * jz
-    )
-    values, vectors = np.linalg.eigh(stack)
-    if np.min(np.diff(values, axis=1)) < 0.5:
+    """Eigendecomposition of J_n, m ascending, for a unit axis (3,), or stacked
+    for a stack of them (r, 3); the axes are checked as :func:`axis_operator` does."""
+    values, vectors = np.linalg.eigh(axis_operator(two_j, axes))
+    if np.min(np.diff(values, axis=-1)) < 0.5:
         raise numerics.EigensolverError(
             "degenerate spin spectrum: eigensolver failure on J_n"
         )
@@ -298,8 +294,7 @@ def spin_probabilities(rho: SpinDensityMatrix, axis) -> np.ndarray:
     Phase freedom of the eigenvectors cancels in the quadratic form, so the
     result is independent of the eigensolver's phase choices.
     """
-    axis = _check_axis(axis)
-    _, vectors = axis_eigh(rho.two_j, axis[None, :])
+    _, vectors = axis_eigh(rho.two_j, np.asarray(axis, dtype=float)[None])
     p = _probabilities_stack(rho, vectors)[0]
     if abs(p.sum() - 1.0) > 1e-10:
         raise RuntimeError("probabilities failed to normalize")
@@ -341,13 +336,8 @@ def sample_spin(rho: SpinDensityMatrix, count: int, seed: int) -> np.ndarray:
 def _axis_expectations(a_matrix: np.ndarray, two_j: int, axis) -> np.ndarray:
     """The diagonal a_m of A in the J_n eigenbasis, one row per axis, for a
     unit ``axis`` (3,) or a stack of them (k, 3), from one :func:`axis_eigh`."""
-    axes = np.asarray(axis, dtype=float)
-    if axes.ndim == 2:
-        axes = np.array([_check_axis(n) for n in axes])
-    else:
-        axes = _check_axis(axes)[None, :]
-    _, vectors = axis_eigh(two_j, axes)
-    return _diagonals(a_matrix, vectors)
+    _, vectors = axis_eigh(two_j, axis)
+    return _diagonals(a_matrix, vectors.reshape(-1, two_j + 1, two_j + 1))
 
 
 def kernel_spin_closed_general(a_matrix: np.ndarray, axis, two_lambda) -> complex | np.ndarray:

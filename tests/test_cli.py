@@ -618,20 +618,25 @@ class TestErrors:
         assert "did not converge" in err["error"]["message"]
         assert not (tmp_path / "kernel.csv").exists()
 
-    # a panel ladder that cannot climb, and a panel degree too low for the table's one check
+    # a panel ladder that cannot climb, which runs only past the table's half-width
+    # Y ~ 32.9 (the table's rule has a derived panel count), and a panel degree too
+    # low for the table's one check
     @pytest.mark.parametrize(
-        "cap, value, message",
-        [("_MAX_PANELS", 64, "did not converge"), ("_PANEL_DEGREE", 4, "Chebyshev table on")],
+        "cap, value, y, message",
+        [
+            ("_MAX_PANELS", 64, 40.0, "did not converge"),
+            ("_PANEL_DEGREE", 4, 0.7, "Chebyshev table on"),
+        ],
         ids=["panels", "degree"],
     )
-    def test_a_failed_table_build_exits_2(self, tmp_path, capsys, monkeypatch, cap, value, message):
+    def test_a_failed_kernel_exits_2(self, tmp_path, capsys, monkeypatch, cap, value, y, message):
         monkeypatch.setattr(numerics, cap, value)
         config = write_config(
             tmp_path,
             "export.json",
             {
                 "target": {"type": "matrix-element", "n": 80, "l": 20},
-                "grid": {"min": 0.7, "max": 0.8, "points": 2},
+                "grid": {"min": y, "max": y + 0.1, "points": 2},
                 "output_path": str(tmp_path / "kernel.csv"),
             },
         )

@@ -319,6 +319,20 @@ def dense_state(size, seed):
     return homodyne.FockDensityMatrix(size, np.outer(amp, amp.conj()))
 
 
+def kernel_rule_gap(n, l):
+    """The largest real or imaginary gap at y = +-Y between the rule that
+    builds the (n, l) kernel table and the rule of twice its panels.  A CI
+    step runs it for every n + l <= 200."""
+    y_max = homodyne.default_kernel_cutoff(n, l)
+    hardest = np.array([-y_max, y_max])
+    g = lambda t: homodyne._kernel_envelope(n, l, t)
+    doubled = int(numerics.oscillatory_panel_count(y_max, y_max)) // 2
+    gap = numerics.fixed_oscillatory_rule(g, y_max, y_max)(hardest) - numerics._phase_sum(
+        hardest, *numerics._phase_rule(g, y_max, doubled)
+    )
+    return max(np.abs(gap.real).max(), np.abs(gap.imag).max())
+
+
 def harmonic_coefficients(sampler, phis):
     """The weight of each table column at each phase: 1, cos(k phi), sin(k phi)."""
     return np.concatenate(
@@ -502,6 +516,35 @@ class TestSamplerOracle:
         monkeypatch.setattr(homodyne, "_DRAW_BLOCK", 1)
         single = homodyne.sample_homodyne(rho, 300, 17)
         assert batch.tobytes() == single.tobytes()
+
+    def test_wide_state_blocks_hold_few_records_and_draw_the_same_ones(self, monkeypatch):
+        # the 399 columns of a dense |0..199> state take 328 records per block
+        rho, blocks = dense_state(200, 200), []
+        uniforms = homodyne.record_uniforms
+
+        def counted(seed, start, count, width):
+            blocks.append(count)
+            return uniforms(seed, start, count, width)
+
+        monkeypatch.setattr(homodyne, "record_uniforms", counted)
+        batch = homodyne.sample_homodyne(rho, 400, 17)
+        assert blocks == [328, 72]
+        monkeypatch.setattr(homodyne, "_DRAW_BLOCK", 1)
+        single = homodyne.sample_homodyne(rho, 400, 17)
+        assert len(blocks) == 2 + 400
+        assert batch.tobytes() == single.tobytes()
+
+    def test_traced_peak_of_a_wide_state_run_stays_below_20_mib(self):
+        # 14 MiB of it is the tables of a dense |0..199> state; one block of
+        # all 2000 records peaked at 25.8 MiB
+        rho = dense_state(200, 200)
+        tracemalloc.start()
+        try:
+            homodyne.sample_homodyne(rho, 2000, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
     @pytest.mark.parametrize("level, n_max", [(1, 8), (2, 8), (5, 16), (9, 16)])
     def test_targets_at_the_zeros_of_a_number_state_solve_the_cubic(self, level, n_max):
@@ -747,6 +790,15 @@ class TestKernelTable:
         want = homodyne.kernel_matrix_element(n, l, ys)
         assert np.max(np.abs(got.real - want.real)) <= numerics.QUADRATURE_TOL
         assert np.max(np.abs(got.imag - want.imag)) <= numerics.QUADRATURE_TOL
+
+    def test_rule_agrees_with_its_doubling_at_the_table_edge(self):
+        # a step-20 grid of n + l <= 200 and the two pairs of the largest gaps
+        # found over all of them, 3.5e-13 at (99, 85) and 2.3e-13 at (108, 90)
+        # a level lower; a rule of an eighth of the count missed by 1.75e-7
+        top = numerics.MAX_POLY_DEGREE
+        pairs = [(n, l) for n in range(0, top + 1, 20) for l in range(0, top + 1 - n, 20)]
+        for n, l in pairs + [(99, 85), (108, 90)]:
+            assert kernel_rule_gap(n, l) <= numerics.QUADRATURE_TOL, (n, l)
 
     @pytest.mark.parametrize("n, l", KERNELS)
     def test_matches_the_quadrature_within_tol(self, n, l):

@@ -155,6 +155,14 @@ class TestAxisOperator:
         with pytest.raises(ValueError, match="unit"):
             spin.kernel_spin_numeric(np.eye(2), nan_axis, 1)
 
+    def test_eigh_rejects_a_non_unit_or_nan_axis(self):
+        # a scaled axis gave the spectrum -2, 0, 2 at two_j 2, and a NaN one
+        # numpy's LinAlgError
+        for axis in ((2.0, 0.0, 0.0), (math.nan, 0.0, 1.0)):
+            for axes in (axis, [(0.0, 0.0, 1.0), axis]):
+                with pytest.raises(ValueError, match="unit length"):
+                    spin.axis_eigh(2, np.array(axes))
+
 
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
