@@ -226,7 +226,12 @@ def _run_kernel_export(cfg: dict) -> int:
     if points < 2 or not -math.inf < lo < hi < math.inf:
         raise ConfigError("grid needs points >= 2 and finite max > min")
     xs = np.linspace(lo, hi, points)
-    values = kernel.evaluate(grid_batch(cfg["target"], kernel, xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = kernel.evaluate(grid_batch(cfg["target"], kernel, xs))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        point = format_float(xs[bad.argmax()])
+        raise ConfigError(f"kernel value at grid point {point} is not finite")
     lines = ["grid_point,kernel_re,kernel_im"]
     lines += [",".join(map(format_float, row)) for row in zip(xs, values.real, values.imag)]
     Path(cfg["output_path"]).write_text("\n".join(lines) + "\n", encoding="utf-8")

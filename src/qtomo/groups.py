@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import QuadratureError, panel_rule
-from .spin import _node_sum, sphere_rule
+from .spin import _row_diagonals, sphere_rule
 
 __all__ = [
     "su2_formal_degree",
@@ -156,20 +156,16 @@ def _ortho_level(two_j: int, quads, sphere_order, t, t_w) -> np.ndarray:
     # is c1 R c2 at each (quadruple, node) row, R[m, m'] = sum_t w_t e^{i t (m - m')}
     radial_matrix = (phases * t_w) @ phases.conj().T
     u1, u2, v1, v2 = quads
-
-    def row_sum(axes, sphere_w, vectors):
-        # c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m for
-        # the eigenbasis W of each node, with the nodes' W side by side, (n,
-        # node * m), so each product is one matmul
-        w = vectors.transpose(1, 0, 2).reshape(two_j + 1, -1)
-        w_conj = w.conj()
-        c1 = (u1.conj() @ w) * (v1 @ w_conj)
-        c2 = (u2 @ w_conj) * (v2.conj() @ w)
-        products = c1.reshape(-1, two_j + 1) @ radial_matrix
-        products *= c2.reshape(-1, two_j + 1)
-        return products.sum(axis=1).reshape(len(u1), -1) @ sphere_w
-
-    return 4.0 * math.pi * _node_sum(two_j, sphere_order, row_sum)
+    # c1 = conj(W^H u1)_m (W^H v1)_m and c2 = (W^H u2)_m conj(W^H v2)_m for the
+    # eigenbasis W of each node: the diagonals of |v1><u1| and |u2><v2|
+    operators = np.concatenate(
+        [v1[:, :, None] * u1.conj()[:, None], u2[:, :, None] * v2.conj()[:, None]]
+    )
+    total = 0.0
+    for sphere_w, diag in _row_diagonals(two_j, sphere_order, operators):
+        c1, c2 = diag[: len(u1)], diag[len(u1) :]
+        total += ((c1 @ radial_matrix) * c2).sum(axis=2) @ sphere_w
+    return 4.0 * math.pi * total
 
 
 def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
@@ -181,8 +177,8 @@ def orthogonality_residual(two_j: int, u1, u2, v1, v2) -> float | np.ndarray:
     climbs the chart ladder of :func:`haar_integral_su2` until two levels
     agree to CHART_TOL relative for every quadruple, as they do at two_j = 16, 20,
     30, 40 and 41; otherwise QuadratureError names the first that did not.
-    Each level takes its eigenbases one theta row at a time from
-    :func:`qtomo.spin._node_sum`, so memory stays bounded at any j.
+    Each level takes the diagonals of |v1><u1| and |u2><v2| one theta row at a
+    time from :func:`qtomo.spin._row_diagonals`, so memory stays bounded at any j.
     """
     dim = two_j + 1
     vecs = [np.asarray(v, dtype=complex) for v in (u1, u2, v1, v2)]

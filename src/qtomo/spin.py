@@ -9,7 +9,6 @@ magnetic number m = -j..+j throughout.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +46,8 @@ __all__ = [
 AXIS_NORM_TOL = 1e-12
 
 # the largest two_j any path accepts: a harmonic table there sums over the 61
-# theta rows of sphere_rule(61) from one eigh of J_y, 0.6-1.1 s, and simulate-spin
-# draws 60000 records of a dense state in 2.5-3.4 s and 61 MB RSS on a 2-core Xeon
+# theta rows of sphere_rule(61) from one eigh of J_y, 0.17-0.24 s, and simulate-spin
+# draws 60000 records of a dense state in 1.5-1.8 s and 60 MB RSS on a 2-core Xeon
 MAX_TWO_J = 60
 
 # one record: spin along ``axis`` gave magnetic number two_m / 2
@@ -184,10 +183,6 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _probabilities_stack(rho: SpinDensityMatrix, vectors: np.ndarray) -> np.ndarray:
-    return _normalized(_diagonals(rho.matrix, vectors).real)
-
-
 # a few orders are in use at a time (two_j + 1 and the chart ladder's), and
 # order 96 alone holds 0.6 MB
 @functools.lru_cache(maxsize=8)
@@ -213,26 +208,27 @@ def sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return axes, w
 
 
-def _node_sum(two_j: int, order: int, term) -> np.ndarray:
-    """The sum of ``term(axes, w, vectors)`` over the theta rows of
-    ``sphere_rule(order)``: a row's 2 order nodes, their weights and their J_n
-    eigenbases, m ascending.  The rule is a product grid, so these are the
-    rotations e^{-i phi J_z} U e^{-i theta mu} U^H |m>, from one
-    :func:`axis_eigh` of J_y = U mu U^H per call; their column phases cancel
-    in every quadratic form.  A row holds 2 order (2j + 1)**2 entries.  Terms
-    add by ``+``, so list terms give their items in node order."""
+def _row_diagonals(two_j: int, order: int, operators: np.ndarray):
+    """For each theta row of ``sphere_rule(order)``, its 2 order weights and the
+    diagonals (k, 2 order, 2j + 1) of a stack of k ``operators`` in each node's
+    J_n eigenbasis, m ascending.  The rule is a product grid, so that basis is
+    e^{-i phi J_z} d |m>, d = e^{-i theta J_y} from one :func:`axis_eigh` of J_y
+    per call, and a diagonal is sum_M e^{i M phi} G_M[m] over M = -2j..2j, with
+    G_M[m] = sum_a conj(d[a, m]) A[a, a - M] d[a - M, m] once per row: no node
+    takes an eigenbasis of its own."""
     axes, w = sphere_rule(order)
     mu, u = (part[0] for part in axis_eigh(two_j, np.array([[0.0, 1.0, 0.0]])))
-    m_values = -two_j / 2.0 + np.arange(two_j + 1)
-
-    def row_sum(start):
-        row = slice(start, start + 2 * order)
-        x, y, z = axes[row].T
-        d = (u * np.exp(-1j * np.arctan2(np.hypot(x[0], y[0]), z[0]) * mu)) @ u.conj().T
-        vectors = np.exp(-1j * np.arctan2(y, x)[:, None, None] * m_values[:, None]) * d
-        return term(axes[row], w[row], vectors)
-
-    return functools.reduce(operator.add, map(row_sum, range(0, len(w), 2 * order)))
+    dim = two_j + 1
+    # e^{i M phi} at a row's azimuths 2 pi k / (2 order)
+    waves = np.exp(1j * np.pi / order * np.outer(np.arange(2 * order), np.arange(-two_j, dim)))
+    for start in range(0, len(w), 2 * order):
+        # a row's first node has phi = 0
+        d = (u * np.exp(-1j * np.arctan2(axes[start, 0], axes[start, 2]) * mu)) @ u.conj().T
+        g = np.zeros((len(operators), 2 * dim - 1, dim), dtype=complex)
+        # row a of A, reversed, fills M = a - b for b = 2j..0
+        for a in range(dim):
+            g[:, a : a + dim] += operators[:, a, ::-1, None] * (d[::-1] * d[a].conj())
+        yield w[start : start + 2 * order], waves @ g
 
 
 @functools.cache
@@ -258,10 +254,10 @@ def _harmonic_table(matrix: np.ndarray) -> np.ndarray:
     so a_m(n) = sum_L p_L(m) f_L(n), where f_L(n) = Tr[A p_L(J_n)], of a rotated
     rank-L tensor, is a harmonic of degree L alone.  The rule of order 2j + 1,
     exact up to degree 4j, makes the projection a plain weighted sum over its
-    nodes, whose eigenbases :func:`_node_sum` takes theta row by theta row.
+    nodes, whose a_m :func:`_row_diagonals` gives theta row by theta row.
     """
     two_j = matrix.shape[0] - 1
-    weighted = _node_sum(two_j, two_j + 1, lambda _, w, v: [w * _diagonals(matrix, v).real.T])
+    weighted = [w * diag[0].real.T for w, diag in _row_diagonals(two_j, two_j + 1, matrix[None])]
     # w f_L at every node, one row per L
     f = _zonal_matrix(two_j) @ np.concatenate(weighted, axis=1)
     harmonics = numerics.real_spherical_harmonics(two_j, sphere_rule(two_j + 1)[0])
@@ -295,7 +291,7 @@ def spin_probabilities(rho: SpinDensityMatrix, axis) -> np.ndarray:
     result is independent of the eigensolver's phase choices.
     """
     _, vectors = axis_eigh(rho.two_j, np.asarray(axis, dtype=float)[None])
-    p = _probabilities_stack(rho, vectors)[0]
+    p = _normalized(_diagonals(rho.matrix, vectors).real)[0]
     if abs(p.sum() - 1.0) > 1e-10:
         raise RuntimeError("probabilities failed to normalize")
     return p
@@ -406,20 +402,18 @@ def exact_reconstruction(rho: SpinDensityMatrix, a_matrix: np.ndarray) -> float:
     Sums the closed-form kernel against the outcome probabilities on the
     sphere rule of order 2j + 1.  The integrand is a polynomial of degree
     <= 4j in the axis and the rule is exact up to degree 4j + 1, so the sum
-    is exact to roundoff at every j.  The eigenbases are taken one theta row
-    at a time by :func:`_node_sum`, so memory stays bounded at any j.
+    is exact to roundoff at every j.  The diagonals of rho and A come one
+    theta row at a time from :func:`_row_diagonals`, so memory stays bounded
+    at any j.
     """
     a_matrix = numerics.require_hermitian(a_matrix)
     two_j = rho.two_j
     if a_matrix.shape != (two_j + 1, two_j + 1):
         raise ValueError("operator dimension does not match the state")
-
-    def term(axes, w, vectors):
-        probs = _probabilities_stack(rho, vectors)
-        sigma = _sigma_table(_diagonals(a_matrix, vectors).real)
-        return np.sum(w * np.sum(probs * sigma, axis=1))
-
-    return float(_node_sum(two_j, two_j + 1, term))
+    total = 0.0
+    for w, (p, a_diag) in _row_diagonals(two_j, two_j + 1, np.stack([rho.matrix, a_matrix])):
+        total += np.sum(w * np.sum(_normalized(p.real) * _sigma_table(a_diag.real), axis=1))
+    return float(total)
 
 
 class SpinOperatorKernel:

@@ -699,7 +699,8 @@ class TestErrors:
         assert "frequency 1000000.0 " in err["error"]["message"]
 
     @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 5: outcomes past Y exit 2 with code quadrature"
+        strict=True,
+        reason="no far-field evaluation past Y yet: such outcomes exit 2 with code quadrature",
     )
     @pytest.mark.parametrize("mode", ["reconstruct", "kernel-export"])
     def test_a_finite_outcome_past_the_table_exits_0(self, tmp_path, capsys, mode):
@@ -734,6 +735,30 @@ class TestErrors:
         err = json.loads(captured.err)
         assert err["error"]["code"] == "data"
         assert err["error"]["message"].startswith(f"{records}:2: estimator value is too large")
+
+    def test_overflowing_kernel_export_names_its_grid_point(self, tmp_path, capfd):
+        # y^2 - 1/2 overflows past |y| ~ 1.34e154: no numpy warning, no CSV
+        csv = tmp_path / "k.csv"
+        config = write_config(
+            tmp_path,
+            "k.json",
+            {
+                "target": {"type": "photon-number"},
+                "grid": {"min": -1e200, "max": 1e200, "points": 3},
+                "output_path": str(csv),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["kernel-export", "--config", config]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == {
+            "code": "config",
+            "message": "kernel value at grid point -9.9999999999999997e+199 is not finite",
+        }
+        assert not csv.exists()
 
     @pytest.mark.parametrize(
         "lines, target, reason",

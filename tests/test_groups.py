@@ -203,8 +203,10 @@ class TestOrthogonality:
         ):
             groups.orthogonality_residual(1, [np.nan, 0.0], e0, e0, e0)
 
-    def test_traced_peak_at_two_j_16_stays_below_4_mib(self):
-        # the whole level's eigenbases at once peaked at 42 MiB here
+    def test_traced_peak_at_two_j_16_stays_below_1_5_mib(self):
+        # the whole level's eigenbases at once peaked at 42 MiB here, and one
+        # theta row of them at a time at 1.9 MiB; a row's diagonals from exact
+        # phi-Fourier sums peak at 0.80 MiB
         rng = np.random.default_rng(216)
         vecs = rng.normal(size=(4, 4, 17)) + 1j * rng.normal(size=(4, 4, 17))
         u1, u2, v1, v2 = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
@@ -216,9 +218,11 @@ class TestOrthogonality:
             tracemalloc.stop()
         rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1))
         assert np.all(residual <= 1e-6 * (1.0 + rhs / groups.su2_formal_degree(16)))
-        assert peak < 4 * 2**20
+        assert peak < 1.5 * 2**20
 
-    def test_two_j_41_converges_at_the_last_level_below_32_mib(self, monkeypatch):
+    def test_two_j_41_converges_at_the_last_level_below_7_mib(self, monkeypatch):
+        # one theta row of eigenbases at a time peaked at 17.8 MiB; a row's
+        # diagonals from exact phi-Fourier sums peak at 3.67 MiB
         level = groups._ortho_level
         orders = []
 
@@ -241,7 +245,7 @@ class TestOrthogonality:
         rhs = np.abs(np.sum(u1.conj() * u2, axis=1) * np.sum(v2.conj() * v1, axis=1))
         assert np.all(residual <= 1e-6 * (1.0 + rhs / groups.su2_formal_degree(41)))
         assert orders == [16, 24, 48, 96]
-        assert peak < 32 * 2**20
+        assert peak < 7 * 2**20
 
     def test_rejects_dimension_mismatch(self):
         e0 = np.array([1.0, 0.0, 0.0], dtype=complex)

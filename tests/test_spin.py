@@ -39,9 +39,10 @@ def random_axes(rng, count):
 
 
 def eigh_diagonals(matrix, two_j, axes):
-    """Oracle: the diagonal of ``matrix`` in each J_n eigenbasis, by eigh."""
+    """Oracle: the diagonal of ``matrix`` in each J_n eigenbasis, by eigh;
+    complex, so that a non-Hermitian ``matrix`` keeps its imaginary part."""
     _, vectors = spin.axis_eigh(two_j, axes)
-    return np.einsum("rnk,nm,rmk->rk", vectors.conj(), matrix, vectors).real
+    return np.einsum("rnk,nm,rmk->rk", vectors.conj(), matrix, vectors)
 
 
 def eigh_sampler(rho, count, seed):
@@ -53,7 +54,7 @@ def eigh_sampler(rho, count, seed):
     az = 2.0 * np.pi * u[:, 1]
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     axes = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
-    p = np.clip(eigh_diagonals(rho.matrix, two_j, axes), 0.0, None)
+    p = np.clip(eigh_diagonals(rho.matrix, two_j, axes).real, 0.0, None)
     cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
     draws = u[:, 2] * cdf[:, -1]
     idx = np.minimum((cdf >= draws[:, None]).argmax(axis=1), two_j)
@@ -463,8 +464,9 @@ class TestExactReconstruction:
 
     def test_traced_peak_stays_bounded_past_two_j_30(self):
         # every node's eigenbasis at once peaked at 86.4 MiB at two_j 30, and
-        # blocks of nodes at ~24 MiB from 30 to 60; one theta row at a time
-        # grows with j.  The rules are cached first, so no peak holds one
+        # one theta row of eigenbases at a time at 2.8, 6.4 and 21 MiB at 30, 40
+        # and 60; a row's diagonals from exact phi-Fourier sums peak at 0.35,
+        # 0.60 and 1.31 MiB.  The rules are cached first, so no peak holds one
         peaks = {}
         for two_j in (30, 40, 60):
             spin.sphere_rule(two_j + 1)
@@ -477,9 +479,9 @@ class TestExactReconstruction:
                 _, peaks[two_j] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[30] <= 8 * 2**20
-        assert peaks[40] <= 8 * 2**20
-        assert peaks[60] <= 24 * 2**20
+        assert peaks[30] <= 0.75 * 2**20
+        assert peaks[40] <= 1.25 * 2**20
+        assert peaks[60] <= 2.5 * 2**20
 
 
 class TestBatchKernel:
@@ -544,6 +546,27 @@ class TestZonalMatrix:
             zonal[0, 0] = 1.0
 
 
+class TestRowDiagonals:
+    """The sphere-grid walk against per-node eigh, for any stack of operators."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 7, 30])
+    @pytest.mark.parametrize("kind", ["hermitian", "rank-1", "stack"])
+    def test_matches_eigh_at_every_node(self, two_j, kind):
+        rng = np.random.default_rng(700 + two_j)
+        u, v = rng.normal(size=(2, two_j + 1)) + 1j * rng.normal(size=(2, two_j + 1))
+        stack = np.stack([random_hermitian(rng, two_j + 1), np.outer(v, u.conj())])
+        stack = {"hermitian": stack[:1], "rank-1": stack[1:], "stack": stack}[kind]
+        for order in (3, two_j + 1):
+            axes, weights = spin.sphere_rule(order)
+            rows = list(spin._row_diagonals(two_j, order, stack))
+            assert np.array_equal(np.concatenate([w for w, _ in rows]), weights)
+            got = np.concatenate([diag for _, diag in rows], axis=1)
+            assert got.shape == (len(stack), len(weights), two_j + 1)
+            for operator, diag in zip(stack, got):
+                want = eigh_diagonals(operator, two_j, axes)
+                assert np.max(np.abs(diag - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
 class TestHarmonicTable:
     """One table per spin state and observable, against the eigh oracle."""
 
@@ -566,8 +589,9 @@ class TestHarmonicTable:
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_traced_peak_of_a_two_j_30_build_stays_bounded(self):
-        # all 2048 nodes at once peaked at ~100 MiB and blocks of nodes near 29
-        # MiB; one theta row at a time peaks near 4 MiB
+        # all 2048 nodes at once peaked at ~100 MiB, blocks of nodes near 29 MiB
+        # and one theta row of eigenbases at a time at 3.2 MiB; a row's
+        # diagonals from exact phi-Fourier sums peak at 1.48 MiB
         rho = random_state(np.random.default_rng(130), 30)
         tracemalloc.start()
         try:
@@ -575,7 +599,7 @@ class TestHarmonicTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("two_j", [1, 2, 5, 8, 40])
     def test_a_table_is_one_coefficient_per_harmonic(self, two_j):
